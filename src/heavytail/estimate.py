@@ -9,6 +9,7 @@ serial dependence is absorbed into block-bootstrap standard errors.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,12 +239,38 @@ class BigJumpResult:
     n_mc: int
 
 
-def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20):
+def _prefetched(draw, sizes, workers):
+    """Yield ``draw(m)`` for each m in ``sizes``, in order.
+
+    With ``workers > 1`` one helper thread computes the next draw while the
+    caller works on the current one.  At most one draw is in flight and the
+    calls run in the given order, so a shared random stream is consumed
+    exactly as in the sequential loop.
+    """
+    if workers <= 1 or len(sizes) < 2:
+        for m in sizes:
+            yield draw(m)
+        return
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(draw, sizes[0])
+        for m in sizes[1:]:
+            current = pending.result()
+            pending = pool.submit(draw, m)
+            yield current
+        yield pending.result()
+
+
+def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20, workers=1):
     """Single-big-jump checks at several thresholds from one shared stream.
 
     Plain Monte Carlo (no importance sampling): per draw, one innovation per
     family lag; the same draws feed every threshold so comparisons across
-    thresholds are paired.
+    thresholds are paired.  Innovation blocks are drawn from ``rng`` as one
+    sequential stream, chunk by chunk and lag by lag.  ``workers > 1`` only
+    overlaps drawing the next block with counting the current one, so the
+    results do not depend on ``workers``.  Each threshold keeps an integer
+    count of single-lag exceedances per draw, so a chunk of m draws needs
+    O(m * (d + #thresholds)) memory, not O(m * #lags).
     """
     xs = [float(x) for x in xs]
     if any(x < innov.scale for x in xs):
@@ -254,26 +281,26 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20):
     cnt_sum_norm = np.zeros(nx)
     cnt_norm_sum = np.zeros(nx)
     disc = np.zeros(nx)
-    done = 0
-    while done < n_mc:
-        m = min(chunk, n_mc - done)
+    sizes = [min(chunk, n_mc - done) for done in range(0, n_mc, chunk)]
+    blocks = _prefetched(lambda m: innov.sample(m, rng),
+                         [m for m in sizes for _ in lags], workers)
+    for m in sizes:
         vec_sum = np.zeros((m, fam.codomain.dim))
         norm_sum = np.zeros(m)
-        singles = np.zeros((m, len(lags)))
-        for j, lag in enumerate(lags):
-            z = innov.sample(m, rng)
-            img = fam.ops[lag].apply(z)
+        n_single = np.zeros((nx, m), dtype=np.int64)
+        for lag in lags:
+            img = fam.ops[lag].apply(next(blocks))
             vec_sum += img
             nrm = fam.codomain.norm(img)
             norm_sum += nrm
-            singles[:, j] = nrm
+            for i, x in enumerate(xs):
+                n_single[i] += nrm > x
         total_norm = fam.codomain.norm(vec_sum)
         for i, x in enumerate(xs):
             hit = total_norm > x
             cnt_sum_norm[i] += hit.sum()
             cnt_norm_sum[i] += (norm_sum > x).sum()
-            disc[i] += np.abs(hit.astype(float) - (singles > x).sum(axis=1)).sum()
-        done += m
+            disc[i] += np.abs(hit - n_single[i]).sum()
     results = []
     for i, x in enumerate(xs):
         v = innov.tail_prob(x)
@@ -296,9 +323,9 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20):
     return results
 
 
-def big_jump_check(fam, innov, x, n_mc, rng, chunk=1 << 20):
+def big_jump_check(fam, innov, x, n_mc, rng, chunk=1 << 20, workers=1):
     """Single-threshold convenience wrapper around ``big_jump_paired``."""
-    return big_jump_paired(fam, innov, [x], n_mc, rng, chunk=chunk)[0]
+    return big_jump_paired(fam, innov, [x], n_mc, rng, chunk=chunk, workers=workers)[0]
 
 
 def threshold_sweep(path, stat, quantiles=(0.99, 0.995, 0.999, 0.9995)):

@@ -241,7 +241,7 @@ def suite_big_jump(cfg, workers=1, n=None):
     fam = cfg.family()
     x = cfg.data["innovation"]["scale"] * (1e-4) ** (-1.0 / cfg.alpha)
     rng = np.random.default_rng([cfg.seed, 3000])
-    near, far = big_jump_paired(fam, innov, [x, 10 * x], n, rng)
+    near, far = big_jump_paired(fam, innov, [x, 10 * x], n, rng, workers=workers)
     checks = [
         _check_rel("big_jump_ratio_sum_norm", near.ratio_sum_norm, near.target, 0.10),
         _check_rel("big_jump_ratio_norm_sum", near.ratio_norm_sum, near.target, 0.10),

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from heavytail.estimate import (
+    BigJumpResult,
     EstimationError,
     big_jump_check,
     big_jump_paired,
@@ -12,10 +13,10 @@ from heavytail.estimate import (
     empirical_tail_dependence,
     hill_alpha,
 )
-from heavytail.rv import Rademacher, RegVarDist
+from heavytail.rv import Rademacher, RegVarDist, SphereUniform
 from heavytail.simulate import Path, PathConfig, simulate_ar1, simulate_linear
-from heavytail.spaces import DomainError, ScalarOp, max_norm
-from heavytail.spectral import family_from_coeffs
+from heavytail.spaces import DenseOp, DomainError, ScalarOp, max_norm
+from heavytail.spectral import OperatorFamily, family_from_coeffs, series_constants
 
 R1 = max_norm(1)
 POS1 = RegVarDist(1.0, 1.0, Rademacher(1.0))
@@ -226,6 +227,84 @@ def test_big_jump_discrepancy_decreases_paired():
                                 np.random.default_rng(21))
     assert near.discrepancy > 0
     assert far.discrepancy < near.discrepancy
+
+
+def _big_jump_reference(fam, innov, xs, n_mc, rng, chunk):
+    """The (m, #lags) single-norm matrix loop that ``big_jump_paired``
+    replaced, kept as the reference for exact equality."""
+    consts = series_constants(fam, innov, n_mc=min(n_mc, 100_000), rng=rng)
+    lags = fam.indices
+    nx = len(xs)
+    cnt_sum_norm = np.zeros(nx)
+    cnt_norm_sum = np.zeros(nx)
+    disc = np.zeros(nx)
+    done = 0
+    while done < n_mc:
+        m = min(chunk, n_mc - done)
+        vec_sum = np.zeros((m, fam.codomain.dim))
+        norm_sum = np.zeros(m)
+        singles = np.zeros((m, len(lags)))
+        for j, lag in enumerate(lags):
+            z = innov.sample(m, rng)
+            img = fam.ops[lag].apply(z)
+            vec_sum += img
+            nrm = fam.codomain.norm(img)
+            norm_sum += nrm
+            singles[:, j] = nrm
+        total_norm = fam.codomain.norm(vec_sum)
+        for i, x in enumerate(xs):
+            hit = total_norm > x
+            cnt_sum_norm[i] += hit.sum()
+            cnt_norm_sum[i] += (norm_sum > x).sum()
+            disc[i] += np.abs(hit.astype(float) - (singles > x).sum(axis=1)).sum()
+        done += m
+    results = []
+    for i, x in enumerate(xs):
+        v = innov.tail_prob(x)
+        p1 = cnt_sum_norm[i] / n_mc
+        p2 = cnt_norm_sum[i] / n_mc
+        results.append(BigJumpResult(
+            x=x,
+            ratio_sum_norm=float(p1 / v),
+            ratio_norm_sum=float(p2 / v),
+            discrepancy=float(disc[i] / n_mc / v),
+            target=float(consts.c_total),
+            stderr_sum_norm=float(np.sqrt(p1 * (1 - p1) / n_mc) / v),
+            stderr_norm_sum=float(np.sqrt(p2 * (1 - p2) / n_mc) / v),
+            n_mc=n_mc,
+        ))
+    return results
+
+
+def _dense_family():
+    space = max_norm(3)
+    rot = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    mix = np.array([[0.5, -0.2, 0.1], [0.0, 0.4, 0.3], [0.2, 0.1, -0.6]])
+    ops = {0: DenseOp(np.eye(3)), 1: DenseOp(0.7 * rot), 2: DenseOp(mix)}
+    innov = RegVarDist(1.5, 1.0, SphereUniform(space))
+    return OperatorFamily(ops, space, space, 1.5), innov, [3.0, 20.0, 200.0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["scalar", "dense"])
+def test_big_jump_matches_matrix_reference(case, workers):
+    # chunk 4096 with n_mc = 3.5 chunks exercises a ragged last chunk
+    if case == "scalar":
+        fam = family_from_coeffs([1.0, 0.5], 2.0, R1)
+        innov = RegVarDist(2.0, 1.0, Rademacher(0.7))
+        xs = [2.0, 10.0, 50.0]
+    else:
+        fam, innov, xs = _dense_family()
+    n_mc, chunk = 4 * 4096 - 2048, 4096
+    got = big_jump_paired(fam, innov, xs, n_mc, np.random.default_rng(23),
+                          chunk=chunk, workers=workers)
+    want = _big_jump_reference(fam, innov, xs, n_mc, np.random.default_rng(23), chunk)
+    assert got == want
+    assert all(r.discrepancy > 0 for r in got[:2])
+    single = big_jump_check(fam, innov, xs[0], n_mc, np.random.default_rng(23),
+                            chunk=chunk, workers=workers)
+    assert single == _big_jump_reference(fam, innov, xs[:1], n_mc,
+                                         np.random.default_rng(23), chunk)[0]
 
 
 def test_big_jump_threshold_below_scale_rejected():

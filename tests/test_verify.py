@@ -33,8 +33,9 @@ def test_mixture_suite_all_presets(preset):
 @pytest.mark.parametrize("preset", ("iid", "ma2", "ma3_positive", "seqspace"))
 def test_big_jump_suite_finite_presets(preset):
     cfg = load_config(preset, FAST)
-    checks = suite_big_jump(cfg, n=10**6)
+    checks = suite_big_jump(cfg, n=10**6, workers=1)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    assert suite_big_jump(cfg, n=10**6, workers=2) == checks
 
 
 @pytest.mark.parametrize("preset", list_presets())
