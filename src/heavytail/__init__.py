@@ -23,7 +23,7 @@ from .spaces import (  # noqa: F401
     weighted_l1_norm,
 )
 from .rv import Atomic, Rademacher, RegVarDist, SphereUniform, pareto_sample  # noqa: F401
-from .windows import SpectralWindow, TailBatch, TailWindow, WindowBatch  # noqa: F401
+from .windows import TailBatch, WindowBatch  # noqa: F401
 from .spectral import (  # noqa: F401
     AR1Spectral,
     LinearProcessSpectral,

