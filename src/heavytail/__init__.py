@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .spaces import (  # noqa: F401
     ChainOp,
+    ContractionCertificate,
     DenseOp,
     DiagonalOp,
     DimensionError,

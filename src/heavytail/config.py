@@ -18,6 +18,7 @@ from .rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from .simulate import PathConfig, simulate_ar1, simulate_linear, simulate_sequence_space
 from .spaces import (
     ChainOp,
+    ContractionCertificate,
     DenseOp,
     DiagonalOp,
     EmbeddingOp,
@@ -357,8 +358,12 @@ class ModelConfig:
             angle = Atomic(angle_spec["points"], angle_spec["weights"], space)
         return RegVarDist(self.alpha, float(spec["scale"]), angle)
 
-    def family(self, horizon=None) -> OperatorFamily:
-        """Finite operator family of the model; AR(1) is truncated at ``horizon``."""
+    def family(self) -> OperatorFamily:
+        """Finite operator family of the model.
+
+        AR(1) gives the power family {T^n : n <= horizon} of its contraction
+        certificate, so a non-contracting operator raises DomainError.
+        """
         model = self.data["model"]
         space = self.space()
         if model["type"] == "iid":
@@ -376,12 +381,9 @@ class ModelConfig:
         if model["type"] == "seqspace":
             return sequence_space_family(space.weights, self.alpha)
         if model["type"] == "ar1":
-            from .spaces import op_power
-
-            horizon = horizon if horizon is not None else self.ar1_horizon
             T = _build_operator(model["operator"], space.dim)
-            ops = {n: op_power(T, n) for n in range(horizon + 1)}
-            return OperatorFamily(ops, space, space, self.alpha)
+            cert = ContractionCertificate(T, space, self.ar1_horizon)
+            return OperatorFamily.powers(cert, self.alpha)
         raise ConfigError(f"unknown model type {model['type']!r}")
 
     @property

@@ -20,15 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .spaces import (
+    ContractionCertificate,
     DiagonalOp,
     DimensionError,
     DomainError,
     ScalarOp,
-    op_norm_bound,
-    op_power,
     weighted_l1_norm,
 )
 
@@ -142,9 +140,13 @@ def _ar1_recursion(T, innovations):
     (within 1e-13 of each row's max-norm on well-conditioned operators) and
     depends only on T and the innovations.
     """
-    if isinstance(T, ScalarOp):
-        return lfilter([1.0], [1.0, -T.a], innovations, axis=0)
-    if isinstance(T, DiagonalOp):
+    if isinstance(T, (ScalarOp, DiagonalOp)):
+        # Imported here: scipy.signal costs about 1 s, which every CLI start
+        # would otherwise pay.
+        from scipy.signal import lfilter
+
+        if isinstance(T, ScalarOp):
+            return lfilter([1.0], [1.0, -T.a], innovations, axis=0)
         out = np.empty_like(innovations)
         for j, c in enumerate(T.entries):
             out[:, j] = lfilter([1.0], [1.0, -c], innovations[:, j])
@@ -184,24 +186,15 @@ def _ar1_recursion(T, innovations):
 def simulate_ar1(T, innov, cfg, horizon=64):
     """Path of the recursion X_t = T X_{t-1} + Z_t from a zero initial state.
 
-    Requires some power of T with norm bound < 1 within ``horizon``; the
-    emitted path (after burn_in steps) approximates the stationary series
-    solution with a geometric truncation bound reported in the metadata.
+    Requires some power of T with norm bound < 1 within ``horizon`` (a
+    ``ContractionCertificate``); the emitted path (after burn_in steps)
+    approximates the stationary series solution, and the metadata reports
+    the certificate's bound on sum_{n > burn_in} ||T^n|| as the truncation
+    error bound.
     """
-    if T.in_dim != T.out_dim or T.in_dim != innov.space.dim:
-        raise DimensionError("operator must be square on the innovation space")
     space = innov.space
-    bounds = [op_norm_bound(op_power(T, m), space, space).value for m in range(horizon + 1)]
-    contracting = [m for m in range(1, horizon + 1) if bounds[m] < 1.0]
-    if not contracting:
-        raise DomainError(
-            f"no power of the operator has norm bound < 1 within horizon {horizon}"
-        )
-    m = contracting[0]
-    q = bounds[m]
-    lead = max(bounds[:m]) if m > 1 else 1.0
-    # sum_{n > burn_in} ||T^n|| <= lead * m * q^floor((burn_in+1)/m) / (1 - q)
-    geo_tail = lead * m * q ** ((cfg.burn_in + 1) // m) / (1.0 - q)
+    cert = ContractionCertificate(T, space, horizon)
+    m, q, lead = cert.lag, cert.q, cert.lead
     # Burn-in needed to push the geometric factor below 1e-12, for reporting.
     if q == 0.0:
         mixing_len = m
@@ -214,7 +207,9 @@ def simulate_ar1(T, innov, cfg, horizon=64):
     out = series[cfg.burn_in :]
     # Effective dependence length: first lag where the operator power has
     # decayed to 1% of identity.  Governs block/run lengths downstream.
-    effective = next((j for j in range(1, horizon + 1) if bounds[j] <= 0.01), horizon)
+    effective = next(
+        (j for j in range(1, horizon + 1) if cert.bounds[j].value <= 0.01), horizon
+    )
     meta = {
         "model": "ar1",
         "seed": cfg.seed,
@@ -222,7 +217,7 @@ def simulate_ar1(T, innov, cfg, horizon=64):
         "family_extent": effective,
         "truncation_horizon": horizon,
         "contraction_lag": m,
-        "truncation_error_bound": float(geo_tail),
+        "truncation_error_bound": cert.tail(cfg.burn_in),
         "recommended_burn_in": max(int(mixing_len), 1),
     }
     return Path(out, space, meta)

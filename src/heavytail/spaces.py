@@ -9,9 +9,10 @@ norms/operators act along the last axis.
 Operators are small structured matrices (scalar multiples of the
 identity, diagonal, dense, coordinate shifts, coordinate embeddings, and
 compositions) with computable norm bounds.  Where a closed form exists
-the bound is exact; otherwise it is a sampled upper bound inflated by a
-safety factor, which keeps rejection samplers built on top of it valid
-(an over-estimate only lowers acceptance rates, it never biases the law).
+the bound is exact; otherwise it is a sampled sphere maximum inflated by a
+safety factor.  That estimate can fall below the true norm, so rejection
+samplers raise when a drawn proposal exceeds it: detection, not a
+certificate.  ``ContractionCertificate`` bounds the powers of an operator.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "ChainOp",
     "identity_op",
     "op_power",
+    "ContractionCertificate",
     "OperatorNormBound",
     "op_norm_bound",
     "restricted_norm_bound",
@@ -399,7 +401,8 @@ def op_norm_bound(op, domain, codomain, rng=None):
     Exact for: scaled isometries, any operator out of a weighted-l1 (or
     1-dimensional) domain, max -> anything in small dimension, and
     diagonal-like operators between identical lp spaces.  Otherwise a
-    sampled sphere maximum inflated by a 5% safety factor, flagged inexact.
+    sampled sphere maximum inflated by a 5% safety factor, flagged inexact;
+    that value is an estimate and may lie below the true norm.
     """
     if op.in_dim != domain.dim or op.out_dim != codomain.dim:
         raise DimensionError("operator does not map domain into codomain")
@@ -464,3 +467,36 @@ def restricted_norm_bound(op, subspace, domain, codomain, rng=None):
             _corner_max(op.as_matrix(), codomain, cols=cols), exact=True
         )
     return _sampled_bound(op, domain, codomain, rng, cols=cols)
+
+
+class ContractionCertificate:
+    """Powers T^0..T^h of a square operator on ``space`` with their norm
+    bounds; ``lag`` is the first m with ||T^m|| < 1, ``q`` that bound and
+    ``lead`` the largest bound below it (DomainError if no power contracts).
+    """
+
+    def __init__(self, T, space, horizon):
+        if T.in_dim != T.out_dim or T.in_dim != space.dim:
+            raise DimensionError("operator must be square on the space")
+        if horizon < 1:
+            raise DomainError("horizon must be >= 1")
+        self.space = space
+        self.horizon = int(horizon)
+        self.powers = [op_power(T, j) for j in range(self.horizon + 1)]
+        self.bounds = [op_norm_bound(p, space, space) for p in self.powers]
+        values = [b.value for b in self.bounds]
+        lag = next((m for m in range(1, self.horizon + 1) if values[m] < 1.0), None)
+        if lag is None:
+            raise DomainError(
+                f"no power of the operator has norm bound < 1 within horizon "
+                f"{self.horizon}; cannot certify a stationary solution"
+            )
+        self.lag = lag
+        self.q = values[lag]
+        self.lead = max(values[:lag]) if lag > 1 else 1.0
+
+    def tail(self, after, exponent=1.0):
+        """Upper bound on sum_{n > after} ||T^n||^exponent, from
+        ||T^n|| <= lead * q^floor(n / lag) (submultiplicativity)."""
+        m, q, e = self.lag, self.q, exponent
+        return float(m * self.lead**e * q ** (e * ((after + 1) // m)) / (1.0 - q**e))

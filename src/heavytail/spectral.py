@@ -15,8 +15,8 @@ This module carries the algorithmic core of the library:
 
 All samplers draw from the exact mixture law: a lag ``N`` is picked once
 with probability ``p_N`` and the innovation angle is then rejection-sampled
-within that component, so acceptance bounds only affect efficiency, never
-the distribution.
+within that component.  The envelope bound only affects efficiency; a drawn
+proposal above it raises SamplingError rather than bias the law.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ import numpy as np
 
 from .rv import SpectralSampler, pareto_sample
 from .spaces import (
+    ContractionCertificate,
     DimensionError,
     DomainError,
-    Operator,
     OperatorNormBound,
     ScalarOp,
     op_norm_bound,
@@ -100,6 +100,20 @@ def _rejection_collect(n, propose, rng, max_trials, label):
     )
 
 
+def _tilt_accept(v, bound, alpha, rng):
+    """Accept each proposal of norm ``v`` with probability (v / bound)^alpha,
+    drawing one uniform per proposal.  A norm above ``bound`` beyond rounding
+    would bias the law, so it raises before drawing."""
+    worst = float(np.max(v, initial=0.0))
+    if worst > bound * (1.0 + 1e-9):
+        raise SamplingError(
+            f"proposal norm {worst!r} exceeds the envelope bound {bound!r}, "
+            f"which is therefore not an upper bound"
+        )
+    u = rng.random(len(v))
+    return (v > 0) & (u * bound**alpha <= v**alpha)
+
+
 @dataclass
 class OperatorFamily:
     """Indexed family {T_n} over a finite lag window, with norm bounds.
@@ -150,6 +164,12 @@ class OperatorFamily:
         """Operator at lag n; lags outside the window act as zero."""
         return self.ops.get(n)
 
+    @classmethod
+    def powers(cls, cert, alpha):
+        """The family {T^n : n <= horizon} of a contraction certificate."""
+        ops, bounds = dict(enumerate(cert.powers)), dict(enumerate(cert.bounds))
+        return cls(ops, cert.space, cert.space, alpha, _bounds=bounds)
+
     def norm_bound(self, n) -> OperatorNormBound:
         if n not in self._bounds:
             self._bounds[n] = op_norm_bound(self.ops[n], self.domain, self.codomain)
@@ -174,6 +194,34 @@ def sequence_space_family(weights, alpha, delta=None):
     return OperatorFamily(ops, domain, space, alpha, delta)
 
 
+def _tail_constants(ops, base, codomain, alpha, n_mc, rng):
+    """Arrays (c, stderr) of c = E ||A Theta||^alpha for each A in ``ops``: closed
+    form where one exists, else Monte Carlo over one shared set of angle draws."""
+    c = np.zeros(len(ops))
+    se = np.zeros(len(ops))
+    atoms = base.angle.atoms()
+    mc = []
+    for i, op in enumerate(ops):
+        if atoms is not None:
+            points, weights = atoms
+            c[i] = weights @ codomain.norm(op.apply(points)) ** alpha
+        else:
+            scale = op.isometry_scale(base.angle.space, codomain)
+            if scale is not None:
+                c[i] = scale**alpha
+            else:
+                mc.append(i)
+    if mc:
+        if n_mc is None or rng is None:
+            raise DomainError("family needs Monte Carlo constants; pass n_mc and rng")
+        theta = base.angle.sample(n_mc, rng)
+        for i in mc:
+            values = codomain.norm(ops[i].apply(theta)) ** alpha
+            c[i] = values.mean()
+            se[i] = values.std(ddof=1) / np.sqrt(n_mc)
+    return c, se
+
+
 def pushforward_constant(A, base, codomain, n_mc=None, rng=None):
     """Tail constant of the operator image: c = E ||A Theta||^alpha, Theta ~ angle law.
 
@@ -181,21 +229,8 @@ def pushforward_constant(A, base, codomain, n_mc=None, rng=None):
     operator is a scaled isometry; otherwise a Monte Carlo average over
     ``n_mc`` angle draws with its standard error.
     """
-    atoms = base.angle.atoms()
-    if atoms is not None:
-        points, weights = atoms
-        values = codomain.norm(A.apply(points)) ** base.alpha
-        return float(weights @ values), 0.0
-    scale = A.isometry_scale(base.angle.space, codomain)
-    if scale is not None:
-        return float(scale**base.alpha), 0.0
-    if n_mc is None or rng is None:
-        raise DomainError(
-            "no closed form for this operator/angle pair; pass n_mc and rng"
-        )
-    theta = base.angle.sample(n_mc, rng)
-    values = codomain.norm(A.apply(theta)) ** base.alpha
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n_mc))
+    c, se = _tail_constants([A], base, codomain, base.alpha, n_mc, rng)
+    return float(c[0]), float(se[0])
 
 
 @dataclass(frozen=True)
@@ -208,9 +243,6 @@ class SeriesConstants:
     c_total: float
     stderr: np.ndarray
 
-    def prob(self, n):
-        return float(self.p[self.indices.index(n)])
-
 
 def series_constants(fam, base, n_mc=None, rng=None):
     """Tail constants of every family member, sharing one angle sample set.
@@ -219,30 +251,9 @@ def series_constants(fam, base, n_mc=None, rng=None):
     ratios; lags with a closed form are exact regardless.
     """
     indices = tuple(fam.indices)
-    c = np.zeros(len(indices))
-    se = np.zeros(len(indices))
-    mc_lags = []
-    for i, n in enumerate(indices):
-        op = fam.ops[n]
-        atoms = base.angle.atoms()
-        if atoms is not None:
-            points, weights = atoms
-            values = fam.codomain.norm(op.apply(points)) ** fam.alpha
-            c[i] = float(weights @ values)
-        else:
-            scale = op.isometry_scale(base.angle.space, fam.codomain)
-            if scale is not None:
-                c[i] = scale**fam.alpha
-            else:
-                mc_lags.append(i)
-    if mc_lags:
-        if n_mc is None or rng is None:
-            raise DomainError("family needs Monte Carlo constants; pass n_mc and rng")
-        theta = base.angle.sample(n_mc, rng)
-        for i in mc_lags:
-            values = fam.codomain.norm(fam.ops[indices[i]].apply(theta)) ** fam.alpha
-            c[i] = values.mean()
-            se[i] = values.std(ddof=1) / np.sqrt(n_mc)
+    c, se = _tail_constants(
+        [fam.ops[n] for n in indices], base, fam.codomain, fam.alpha, n_mc, rng
+    )
     total = float(c.sum())
     if total <= 0:
         raise DomainError("degenerate operator family: all tail constants vanish")
@@ -254,9 +265,10 @@ class PushforwardAngle(SpectralSampler):
 
     Draw Theta from the base angle law and an independent uniform U;
     accept when U <= (||A Theta|| / bound)^alpha and return the unit
-    vector A Theta / ||A Theta||.  ``bound`` may be any upper bound on the
-    essential supremum of ||A Theta||; smaller bounds only raise the
-    acceptance rate.
+    vector A Theta / ||A Theta||.  ``bound`` must be an upper bound on the
+    essential supremum of ||A Theta||; a larger one only lowers the
+    acceptance rate.  A drawn proposal above ``bound`` raises SamplingError;
+    that detects a too-small bound on the draws made, it does not certify one.
     """
 
     def __init__(self, base, operator, codomain, bound=None, max_trials=DEFAULT_MAX_TRIALS):
@@ -281,9 +293,7 @@ class PushforwardAngle(SpectralSampler):
             theta = self.base.angle.sample(m, rng)
             image = self.operator.apply(theta)
             v = self.space.norm(image)
-            u = rng.random(m)
-            accept = (v > 0) & (u * self.bound**self.alpha <= v**self.alpha)
-            return accept, (image, v)
+            return _tilt_accept(v, self.bound, self.alpha, rng), (image, v)
 
         image, v = _rejection_collect(
             n, propose, rng, self.max_trials, "pushforward angle sampler"
@@ -314,70 +324,7 @@ class PushforwardAngle(SpectralSampler):
         return pts, w / w.sum()
 
 
-class _MixtureWindowSampler:
-    """Shared machinery: pick a lag from p, rejection-sample the angle within it."""
-
-    alpha: float
-    space: "NormSpec"
-    max_trials: int
-
-    def _component_op(self, n) -> Operator:
-        raise NotImplementedError
-
-    def _component_bound(self, n) -> float:
-        raise NotImplementedError
-
-    def _window_op(self, component, offset):
-        """Operator applied at window offset ``offset`` for mixture lag ``component``."""
-        raise NotImplementedError
-
-    def _angle_sampler(self) -> SpectralSampler:
-        raise NotImplementedError
-
-    def _component_draws(self, n_comp, m, rng):
-        op = self._component_op(n_comp)
-        bound = self._component_bound(n_comp)
-        angle = self._angle_sampler()
-        if bound <= 0:
-            raise SamplingError(f"component {n_comp} has zero norm bound")
-        iso = op.isometry_scale(angle.space, self.space)
-        if iso is not None and iso >= bound:
-            theta = angle.sample(m, rng)
-            return theta, self.space.norm(op.apply(theta))
-
-        def propose(k, rng):
-            theta = angle.sample(k, rng)
-            v = self.space.norm(op.apply(theta))
-            u = rng.random(k)
-            accept = (v > 0) & (u * bound**self.alpha <= v**self.alpha)
-            return accept, (theta, v)
-
-        return _rejection_collect(
-            m, propose, rng, self.max_trials, f"window sampler component {n_comp}"
-        )
-
-    def _assemble(self, components, probs, n, back, fwd, rng):
-        picks = rng.choice(np.asarray(components), size=n, p=probs)
-        out = np.zeros((n, back + fwd + 1, self.space.dim))
-        for n_comp in np.unique(picks):
-            rows = np.flatnonzero(picks == n_comp)
-            theta, denom = self._component_draws(int(n_comp), len(rows), rng)
-            for t in range(-back, fwd + 1):
-                op = self._window_op(int(n_comp), t)
-                if op is not None:
-                    out[rows, back + t, :] = op.apply(theta) / denom[:, None]
-        return WindowBatch(out, back, fwd, self.space, origin=picks)
-
-    def acceptance_rates(self):
-        """Per-component acceptance probabilities c_n / B_n^alpha (diagnostic)."""
-        out = {}
-        for i, lag in enumerate(self.consts.indices):
-            bound = self._component_bound(lag)
-            out[lag] = float(self.consts.c[i] / bound**self.alpha) if bound > 0 else 0.0
-        return out
-
-
-class LinearProcessSpectral(_MixtureWindowSampler):
+class LinearProcessSpectral:
     """Window sampler for the spectral process of X_t = sum_i T_i Z_{t-i}.
 
     The law is the mixture sum_n p_n kappa_n: pick lag N from p, accept an
@@ -412,115 +359,85 @@ class LinearProcessSpectral(_MixtureWindowSampler):
         self.backward_extent = fam.extent
         self.forward_extent = fam.extent
 
-    def _angle_sampler(self):
-        return self.base.angle
+    def _window_op(self, lag):
+        return self.fam.op(lag)
 
-    def _component_op(self, n):
-        return self.fam.ops[n]
+    def _component_draws(self, n_comp, m, rng):
+        op = self.fam.ops[n_comp]
+        bound = self.fam.norm_bound(n_comp).value
+        angle = self.base.angle
+        if bound <= 0:
+            raise SamplingError(f"component {n_comp} has zero norm bound")
+        iso = op.isometry_scale(angle.space, self.space)
+        if iso is not None and iso >= bound:
+            theta = angle.sample(m, rng)
+            return theta, self.space.norm(op.apply(theta))
 
-    def _component_bound(self, n):
-        return self.fam.norm_bound(n).value
+        def propose(k, rng):
+            theta = angle.sample(k, rng)
+            v = self.space.norm(op.apply(theta))
+            return _tilt_accept(v, bound, self.alpha, rng), (theta, v)
 
-    def _window_op(self, component, offset):
-        return self.fam.op(component + offset)
+        return _rejection_collect(
+            m, propose, rng, self.max_trials, f"window sampler component {n_comp}"
+        )
 
     def sample(self, n, back, fwd, rng):
-        return self._assemble(self.consts.indices, self.consts.p, n, back, fwd, rng)
+        picks = rng.choice(np.asarray(self.consts.indices), size=n, p=self.consts.p)
+        out = np.zeros((n, back + fwd + 1, self.space.dim))
+        for n_comp in np.unique(picks):
+            rows = np.flatnonzero(picks == n_comp)
+            theta, denom = self._component_draws(int(n_comp), len(rows), rng)
+            for t in range(-back, fwd + 1):
+                op = self._window_op(int(n_comp) + t)
+                if op is not None:
+                    out[rows, back + t, :] = op.apply(theta) / denom[:, None]
+        return WindowBatch(out, back, fwd, self.space, origin=picks)
+
+    def acceptance_rates(self):
+        """Per-component acceptance probabilities c_n / B_n^alpha (diagnostic)."""
+        out = {}
+        for i, lag in enumerate(self.consts.indices):
+            bound = self.fam.norm_bound(lag).value
+            out[lag] = float(self.consts.c[i] / bound**self.alpha) if bound > 0 else 0.0
+        return out
 
 
-class AR1Spectral(_MixtureWindowSampler):
+class AR1Spectral(LinearProcessSpectral):
     """Window sampler for the spectral process of X_t = T X_{t-1} + Z_t.
 
-    Uses the lag representation T_n = T^n (n >= 0) truncated at ``horizon``;
-    requires ||T^m|| < 1 for some m <= horizon so the discarded mixture mass
-    is geometrically small (the bound is reported in ``tail_mass_bound``).
-    Backward slots below the picked lag are exactly zero and the forward
+    This is the linear-process sampler over the power family T_n = T^n
+    (0 <= n <= ``horizon``) of a ``ContractionCertificate``, which requires
+    ||T^m|| < 1 for some m <= horizon; the discarded mixture mass is at most
+    ``tail_mass_bound``.  Forward lags past the horizon use T^n itself, so
+    backward slots below the picked lag are exactly zero and the forward
     recursion Theta_{t+1} = T Theta_t holds on every sample.
     """
 
-    def __init__(
-        self,
-        T,
-        base,
-        horizon,
-        n_mc_constants=100_000,
-        rng=None,
-        max_trials=DEFAULT_MAX_TRIALS,
-    ):
-        if T.in_dim != T.out_dim:
-            raise DimensionError("autoregression operator must be square")
-        if T.in_dim != base.space.dim:
-            raise DimensionError("operator dimension does not match innovation space")
-        if horizon < 1:
-            raise DomainError("horizon must be >= 1")
+    def __init__(self, T, base, horizon, **kwargs):
+        """``kwargs`` (n_mc_constants, rng, max_trials) go to LinearProcessSpectral."""
+        cert = ContractionCertificate(T, base.space, horizon)
+        super().__init__(OperatorFamily.powers(cert, base.alpha), base, **kwargs)
         self.T = T
-        self.base = base
-        self.alpha = base.alpha
-        self.space = base.space
-        self.horizon = int(horizon)
-        self.max_trials = max_trials
-
-        self._powers = [op_power(T, j) for j in range(self.horizon + 1)]
-        self._bounds = [
-            op_norm_bound(p, self.space, self.space).value for p in self._powers
-        ]
-        contracting = [m for m in range(1, self.horizon + 1) if self._bounds[m] < 1.0]
-        if not contracting:
-            raise DomainError(
-                f"no power of the operator has norm bound < 1 within horizon "
-                f"{self.horizon}; cannot certify a stationary solution"
-            )
-        self._contract_lag = contracting[0]
-
-        fam = OperatorFamily(
-            {j: self._powers[j] for j in range(self.horizon + 1)},
-            self.space,
-            self.space,
-            self.alpha,
-        )
-        self.fam = fam
-        self.consts = series_constants(fam, base, n_mc_constants, rng)
-        self.tail_mass_bound = self._geometric_tail(self.horizon)
-        self.backward_extent = self.horizon
+        self.horizon = cert.horizon
+        self.tail_mass_bound = cert.tail(cert.horizon, base.alpha)
         self.forward_extent = None  # geometric decay, never exactly zero in general
 
-    def _geometric_tail(self, after):
-        """Upper bound on sum_{n > after} ||T^n||^alpha from the contraction lag."""
-        m = self._contract_lag
-        q = self._bounds[m]
-        lead = max(self._bounds[:m]) if m > 1 else 1.0
-        k0 = (after + 1) // m
-        return float(m * lead**self.alpha * q ** (self.alpha * k0) / (1.0 - q**self.alpha))
+    def _window_op(self, lag):
+        if lag <= self.horizon:
+            return self.fam.op(lag)
+        # Not cached: sample() runs on worker threads and the family stays read-only.
+        return op_power(self.T, lag)
 
-    def _power(self, j):
-        # No caching past the horizon: sample() runs on worker threads and
-        # the precomputed list must stay read-only.
-        if j < len(self._powers):
-            return self._powers[j]
-        return op_power(self.T, j)
-
-    def _angle_sampler(self):
-        return self.base.angle
-
-    def _component_op(self, n):
-        return self._powers[n]
-
-    def _component_bound(self, n):
-        return self._bounds[n]
-
-    def _window_op(self, component, offset):
-        lag = component + offset
-        return self._power(lag) if lag >= 0 else None
-
-    def sample(self, n, back, fwd, rng):
-        return self._assemble(self.consts.indices, self.consts.p, n, back, fwd, rng)
+    sample = LinearProcessSpectral.sample  # own entry: bench/tracer.py wraps per class
 
 
 class TransformedSpectral:
     """Spectral process of the operator image (A X_t) of a base time series.
 
     Accepts a base window when U <= (||A Theta_0|| / bound)^alpha and emits
-    the normalized image window (A Theta_t / ||A Theta_0||).
+    the normalized image window (A Theta_t / ||A Theta_0||); a drawn
+    ||A Theta_0|| above ``bound`` raises SamplingError.
     """
 
     def __init__(self, base_sampler, A, codomain, bound=None, max_trials=DEFAULT_MAX_TRIALS):
@@ -549,8 +466,7 @@ class TransformedSpectral:
             wb = self.base.sample(m, back, fwd, rng)
             image = self.A.apply(wb.values)
             a0 = self.space.norm(image[:, back, :])
-            u = rng.random(m)
-            accept = (a0 > 0) & (u * self.bound**self.alpha <= a0**self.alpha)
+            accept = _tilt_accept(a0, self.bound, self.alpha, rng)
             origin = wb.origin if wb.origin is not None else np.zeros(m, dtype=int)
             return accept, (image, a0, origin)
 

@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import heavytail
 from heavytail.cli import main
 from heavytail.config import ConfigError, ModelConfig, list_presets, load_config
 from heavytail.verify import Check
@@ -246,3 +251,25 @@ def test_cli_verify_failure_is_exit_1(tmp_path, monkeypatch):
                  "--report", str(report)])
     assert code == 1
     assert json.loads(report.read_text())["all_passed"] is False
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    src = str(pathlib.Path(heavytail.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, heavytail.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
+def test_cli_big_jump_non_contracting_ar1_is_exit_2(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    data = json.loads(load_config("ar1_scalar").canonical_json())
+    data["model"]["operator"]["a"] = 1.0
+    cfgfile.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    code = main(["verify", "--config", str(cfgfile), "--suite", "big-jump",
+                 "--report", str(report)])
+    assert code == 2
+    assert "no power of the operator has norm bound < 1" in capsys.readouterr().err
+    assert not report.exists()

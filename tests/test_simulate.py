@@ -18,7 +18,7 @@ from heavytail.simulate import (
     simulate_sequence_space,
     write_path_csv,
 )
-from heavytail.spaces import DenseOp, DomainError, ScalarOp, max_norm
+from heavytail.spaces import ContractionCertificate, DenseOp, DomainError, ScalarOp, max_norm
 from heavytail.spectral import family_from_coeffs
 
 R1 = max_norm(1)
@@ -190,6 +190,31 @@ def _max_row_rel_err(values, reference):
 BENCH_MATRIX = [[0.4, 0.2, -0.1], [0.1, 0.3, 0.2], [-0.2, 0.1, 0.35]]
 # max-norm 2 > 1, but T^4 has max-norm about 0.62
 NON_NORMAL = [[0.5, 1.5], [0.0, 0.4]]
+
+
+def test_contraction_certificate_scalar():
+    cert = ContractionCertificate(ScalarOp(0.5, 1), R1, 8)
+    assert (cert.lag, cert.q, cert.lead) == (1, 0.5, 1.0)
+    assert cert.tail(64) == 0.5**64
+
+
+@pytest.mark.parametrize("exponent", [1.0, 1.5])
+def test_contraction_certificate_tail_dominates_norm_sums(exponent):
+    cert = ContractionCertificate(DenseOp(NON_NORMAL), max_norm(2), 16)
+    m = np.asarray(NON_NORMAL)
+    norms = [np.abs(np.linalg.matrix_power(m, n)).sum(axis=1).max() for n in range(700)]
+    assert cert.lag == 4 and cert.q == pytest.approx(norms[4]) and cert.q < 1.0
+    assert cert.lead == pytest.approx(max(norms[:4])) == 2.0
+    for after in (0, 3, 4, 17, 64):
+        partial = sum(norms[n] ** exponent for n in range(after + 1, after + 501))
+        assert cert.tail(after, exponent) >= partial
+
+
+def test_contraction_certificate_refuses_non_contracting():
+    with pytest.raises(DomainError, match="no power of the operator"):
+        ContractionCertificate(ScalarOp(1.0, 1), R1, 16)
+
+
 AR1_LENGTHS = [1, _AR1_BLOCK - 1, _AR1_BLOCK, _AR1_BLOCK + 1, 3 * _AR1_BLOCK + 17]
 
 

@@ -4,15 +4,18 @@ from scipy.integrate import quad
 
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.spaces import (
+    DenseOp,
     DiagonalOp,
     DomainError,
     ScalarOp,
     lp_norm,
     max_norm,
+    op_power,
 )
 from heavytail.spectral import (
     AR1Spectral,
     LinearProcessSpectral,
+    OperatorFamily,
     PushforwardAngle,
     SamplingError,
     TransformedSpectral,
@@ -25,6 +28,7 @@ from heavytail.spectral import (
     tail_windows,
     time_change_rhs,
     window_mean,
+    _tilt_accept,
 )
 
 R1 = max_norm(1)
@@ -124,6 +128,30 @@ def test_pushforward_rejection_exhaustion():
     push = PushforwardAngle(base, DiagonalOp([1.0, 0.0]), space, max_trials=10_000)
     with pytest.raises(SamplingError):
         push.sample(1, np.random.default_rng(9))
+
+
+def test_tilt_accept_envelope_violation_draws_nothing():
+    rng = np.random.default_rng(10)
+    state = rng.bit_generator.state
+    with pytest.raises(SamplingError, match="exceeds the envelope bound"):
+        _tilt_accept(np.array([0.5, 1.0 + 1e-6]), 1.0, 1.0, rng)
+    assert rng.bit_generator.state == state
+    # rounding above the bound is tolerated and accepted
+    assert _tilt_accept(np.array([1.0 + 1e-12]), 1.0, 1.0, rng).all()
+
+
+def test_envelope_below_the_norm_raises():
+    # ||A theta|| = 3 and 2 against a bound of 1: every proposal would be
+    # accepted, silently dropping the (v / B)^alpha tilt
+    with pytest.raises(SamplingError):
+        PushforwardAngle(POS, ScalarOp(-3.0, 1), R1, bound=1.0).sample(
+            10, np.random.default_rng(11)
+        )
+    iid = LinearProcessSpectral(family_from_coeffs([1.0], 1.0, R1), POS)
+    with pytest.raises(SamplingError):
+        TransformedSpectral(iid, ScalarOp(-2.0, 1), R1, bound=1.0).sample(
+            10, 1, 1, np.random.default_rng(12)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +254,39 @@ def test_ar1_zero_operator_is_iid():
     assert np.all(wb.origin == 0)
     assert np.all(wb.norm_at(0) == 1.0)
     assert np.all(wb.norm_at(1) == 0.0) and np.all(wb.norm_at(-1) == 0.0)
+
+
+AR1_CASES = [
+    (ScalarOp(0.5, 1), Atomic([[1.0], [-1.0]], [0.3, 0.7], R1), 1.0),
+    (
+        DenseOp([[0.3, 0.1], [0.05, 0.2]]),
+        Atomic([[1.0, 0.0], [0.5, 1.0], [-1.0, -0.25]], [0.2, 0.5, 0.3], max_norm(2)),
+        1.5,
+    ),
+]
+
+
+@pytest.mark.parametrize("T, angle, alpha", AR1_CASES, ids=["scalar", "dense2"])
+def test_ar1_equals_linear_process_over_powers(T, angle, alpha):
+    base = RegVarDist(alpha, 1.0, angle)
+    horizon, back, fwd = 40, 2, 3
+    fam = OperatorFamily(
+        {j: op_power(T, j) for j in range(horizon + 1)}, angle.space, angle.space, alpha
+    )
+    ar1 = AR1Spectral(T, base, horizon).sample(3000, back, fwd, np.random.default_rng(21))
+    lin = LinearProcessSpectral(fam, base).sample(3000, back, fwd, np.random.default_rng(21))
+    assert ar1.origin.max() + fwd <= horizon  # windows stay inside the family
+    np.testing.assert_array_equal(ar1.origin, lin.origin)
+    np.testing.assert_array_equal(ar1.values, lin.values)
+
+
+def test_ar1_forward_recursion_past_horizon():
+    T, angle, alpha = AR1_CASES[1]
+    sampler = AR1Spectral(T, RegVarDist(alpha, 1.0, angle), horizon=3)
+    wb = sampler.sample(2000, 0, 8, np.random.default_rng(22))
+    assert wb.origin.max() + 8 > 3
+    for t in range(8):
+        np.testing.assert_allclose(wb.slot(t + 1), T.apply(wb.slot(t)), rtol=1e-12, atol=1e-15)
 
 
 def test_ar1_contraction_precondition():
