@@ -138,17 +138,15 @@ def cmd_summarize(args):
         }
     else:
         sampler = cfg.window_sampler()
+        first = None  # dual mode pairs with the first coordinate
+        if args.mode == "dual":
+            first = LinearFunctional(tuple([1.0] + [0.0] * (sampler.space.dim - 1)))
         if args.stat == "tail-dep":
-            if args.mode == "dual":
-                b = LinearFunctional(tuple([1.0] + [0.0] * (sampler.space.dim - 1)))
-                res = tail_dependence(sampler, args.lag, b=b, mode="dual", n=n, rng=rng)
-            else:
-                res = tail_dependence(sampler, args.lag, mode="norm", n=n, rng=rng)
+            res = tail_dependence(sampler, args.lag, b=first, mode=args.mode, n=n, rng=rng)
         elif args.stat == "joint-survival":
             idx = [int(x) for x in args.indices.split(",")]
-            if args.mode == "dual":
-                b = LinearFunctional(tuple([1.0] + [0.0] * (sampler.space.dim - 1)))
-                res = joint_survival_limit(sampler, idx, functionals=[b] * len(idx),
+            if first is not None:
+                res = joint_survival_limit(sampler, idx, functionals=[first] * len(idx),
                                            n=n, rng=rng)
             else:
                 res = joint_survival_limit(sampler, idx, norm_weights=[1.0] * len(idx),
@@ -157,10 +155,8 @@ def cmd_summarize(args):
             horizon = args.horizon
             if horizon is None and sampler.forward_extent is None:
                 horizon = cfg.ar1_horizon
-            res = extremal_index(sampler, mode=args.mode if args.mode != "dual" else "dual",
-                                 b=LinearFunctional(tuple([1.0] + [0.0] * (sampler.space.dim - 1)))
-                                 if args.mode == "dual" else None,
-                                 m_horizon=horizon, n=n, rng=rng)
+            res = extremal_index(sampler, mode=args.mode, b=first, m_horizon=horizon,
+                                 n=n, rng=rng)
         elif args.stat == "extremogram":
             a = Event("norm_gt", float(args.threshold_a))
             b = Event("norm_gt", float(args.threshold_b))

@@ -410,17 +410,17 @@ class ModelConfig:
         )
         return sampler
 
-    def path_config(self, length=None, seed=None) -> PathConfig:
+    def path_config(self, length=None) -> PathConfig:
         p = self.data["path"]
         return PathConfig(
             int(length if length is not None else p["length"]),
             int(p["burn_in"]),
             int(p["truncation"]),
-            int(seed if seed is not None else self.seed),
+            self.seed,
         )
 
-    def simulate(self, length=None, seed=None):
-        cfg = self.path_config(length, seed)
+    def simulate(self, length=None):
+        cfg = self.path_config(length)
         innov = self.innovation()
         if self.model_type == "ar1":
             T = _build_operator(self.data["model"]["operator"], self.space().dim)

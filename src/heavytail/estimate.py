@@ -34,6 +34,8 @@ __all__ = [
 
 _BOOT_SEED = 0xE57
 _N_BOOT = 200
+# Time steps per bootstrap block of the empirical tail dependence.
+_TD_BLOCK_LEN = 100
 
 
 class EstimationError(RuntimeError):
@@ -100,7 +102,7 @@ def _block_bootstrap_se(anchor_times, per_anchor, block_len, n_boot, rng, stat):
     return float(np.std(reps, ddof=1))
 
 
-def empirical_spectral_stat(exc, f, rng=None, n_boot=_N_BOOT):
+def empirical_spectral_stat(exc, f, rng=None):
     """Mean of a bounded window functional over normalized exceedance windows.
 
     Standard error by block bootstrap with block length twice the window
@@ -112,7 +114,7 @@ def empirical_spectral_stat(exc, f, rng=None, n_boot=_N_BOOT):
     values = np.asarray(f(exc.windows), dtype=float)
     width = exc.windows.back + exc.windows.fwd + 1
     se = _block_bootstrap_se(
-        exc.anchors, values, 2 * width, n_boot, rng, lambda v: v.mean()
+        exc.anchors, values, 2 * width, _N_BOOT, rng, lambda v: v.mean()
     )
     if not np.isfinite(se):
         se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
@@ -122,13 +124,13 @@ def empirical_spectral_stat(exc, f, rng=None, n_boot=_N_BOOT):
     )
 
 
-def empirical_tail_dependence(path, u, h, mode="functional", b=None,
-                              block_len=100, rng=None, n_boot=_N_BOOT):
+def empirical_tail_dependence(path, u, h, mode="functional", b=None, rng=None):
     """Empirical Pr(score at lag h exceeds u | score at 0 exceeds u).
 
     ``mode`` "functional" scores by a linear pairing (default: first
     coordinate), "norm" by the path norm.  Ratio of joint to marginal
-    exceedance counts, block-bootstrap standard error.
+    exceedance counts, block-bootstrap standard error over blocks of
+    ``_TD_BLOCK_LEN`` time steps.
     """
     h = int(h)
     if mode == "norm":
@@ -152,7 +154,7 @@ def empirical_tail_dependence(path, u, h, mode="functional", b=None,
     per = np.column_stack([joint[marg], np.ones(int(marg.sum()))])
     rng = rng if rng is not None else np.random.default_rng(_BOOT_SEED)
     se = _block_bootstrap_se(
-        times[marg], per, block_len, n_boot, rng,
+        times[marg], per, _TD_BLOCK_LEN, _N_BOOT, rng,
         lambda v: v[:, 0].sum() / v[:, 1].sum(),
     )
     value = float(joint.sum() / marg.sum())
@@ -163,8 +165,7 @@ def empirical_tail_dependence(path, u, h, mode="functional", b=None,
     )
 
 
-def blocks_extremal_index(path, u, block_len, method="blocks", runs_gap=None,
-                          rng=None, n_boot=_N_BOOT):
+def blocks_extremal_index(path, u, block_len, method="blocks", runs_gap=None, rng=None):
     """Blocks estimator (#blocks with an exceedance)/(#exceedances) with
     block-resampling standard error; the runs estimator is available behind
     ``method="runs"`` for cross-checking."""
@@ -195,8 +196,8 @@ def blocks_extremal_index(path, u, block_len, method="blocks", runs_gap=None,
     counts = trimmed.sum(axis=1)
     hits = (counts > 0).astype(float)
     value = float(hits.sum() / counts.sum())
-    reps = np.empty(n_boot)
-    for r in range(n_boot):
+    reps = np.empty(_N_BOOT)
+    for r in range(_N_BOOT):
         pick = rng.integers(0, nb, size=nb)
         c = counts[pick].sum()
         reps[r] = hits[pick].sum() / c if c > 0 else np.nan

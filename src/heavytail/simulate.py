@@ -7,12 +7,12 @@ representations of the same model consume identical innovation values
 whenever their index ranges coincide (burn_in == truncation).  Identical
 (config, seed) inputs reproduce paths bit for bit.
 
-AR(1) with a scalar or diagonal operator runs through ``lfilter``; any
-other operator runs a blocked recursion on its matrix (see
-``_ar1_recursion``).  Its values differ from a per-step loop only by
-floating-point rounding, within 1e-13 relative to the row's max-norm on
-well-conditioned operators (1.3e-14 on a 3x3 dense operator over 1e6
-steps), and they too are a function of (config, seed) alone.
+Every AR(1) path, whatever its operator, comes from one blocked recursion
+on the operator's matrix (see ``_ar1_recursion``).  Its values differ from
+a per-step loop only by floating-point rounding, within 1e-13 relative to
+the row's max-norm on well-conditioned operators (1.3e-14 on a 3x3 dense
+operator over 1e6 steps), and they too are a function of (config, seed)
+alone.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ import numpy as np
 
 from .spaces import (
     ContractionCertificate,
-    DiagonalOp,
     DimensionError,
     DomainError,
-    ScalarOp,
     weighted_l1_norm,
 )
 
@@ -131,26 +129,15 @@ def simulate_linear(fam, innov, cfg):
 def _ar1_recursion(T, innovations):
     """X_t = T X_{t-1} + Z_t for t = 0..n-1 from X_{-1} = 0.
 
-    Scalar and diagonal operators use ``lfilter`` per coordinate.  Any other
-    operator works on M = T.as_matrix() in blocks of ``_AR1_BLOCK`` steps:
-    first the zero-start recursion runs in all blocks at once (one vectorised
-    step per offset k), then each block's last state s is carried into the
-    next block as T^(k+1) s via the stacked powers T^1..T^B.  A ragged tail
-    is one short block.  The result equals the per-step loop up to rounding
-    (within 1e-13 of each row's max-norm on well-conditioned operators) and
-    depends only on T and the innovations.
+    Every operator, scalar and diagonal ones included, works on
+    M = T.as_matrix() in blocks of ``_AR1_BLOCK`` steps: first the zero-start
+    recursion runs in all blocks at once (one vectorised step per offset k),
+    then each block's last state s is carried into the next block as
+    T^(k+1) s via the stacked powers T^1..T^B.  A ragged tail is one short
+    block.  The result equals the per-step loop up to rounding (within 1e-13
+    of each row's max-norm on well-conditioned operators) and depends only
+    on T and the innovations.
     """
-    if isinstance(T, (ScalarOp, DiagonalOp)):
-        # Imported here: scipy.signal costs about 1 s, which every CLI start
-        # would otherwise pay.
-        from scipy.signal import lfilter
-
-        if isinstance(T, ScalarOp):
-            return lfilter([1.0], [1.0, -T.a], innovations, axis=0)
-        out = np.empty_like(innovations)
-        for j, c in enumerate(T.entries):
-            out[:, j] = lfilter([1.0], [1.0, -c], innovations[:, j])
-        return out
     n, d = innovations.shape
     out = np.empty((n, d))  # C order, so the reshapes below are views
     m = T.as_matrix()
@@ -245,8 +232,9 @@ def simulate_sequence_space(weights, innov, cfg):
         "family_extent": d - 1,
         "truncation_dim": d,
         # Norm error of dropping coordinates >= d, per unit of innovation norm,
-        # if the weight sequence continued at the observed tail ratio.
-        "truncation_error_bound": float(
+        # if the weight sequence continued at the observed tail ratio.  An
+        # extrapolation, not a bound: the weights past d are not known.
+        "truncation_error_estimate": float(
             w[-1] * (w[-1] / w[-2]) / (1.0 - w[-1] / w[-2])
             if d >= 2 and w[-1] < w[-2]
             else 0.0

@@ -381,8 +381,8 @@ def _corner_max(matrix, codomain, cols=None):
     return float(np.max(codomain.norm(signs @ m.T)))
 
 
-def _sampled_bound(op, domain, codomain, rng, cols=None):
-    rng = rng if rng is not None else np.random.default_rng(_FALLBACK_SEED)
+def _sampled_bound(op, domain, codomain, cols=None):
+    rng = np.random.default_rng(_FALLBACK_SEED)
     g = rng.standard_normal((_FALLBACK_SAMPLES, len(cols) if cols is not None else domain.dim))
     x = g
     if cols is not None:
@@ -395,7 +395,7 @@ def _sampled_bound(op, domain, codomain, rng, cols=None):
     return OperatorNormBound(_FALLBACK_SAFETY * float(np.max(values)), exact=False)
 
 
-def op_norm_bound(op, domain, codomain, rng=None):
+def op_norm_bound(op, domain, codomain):
     """Operator norm of ``op`` viewed as a map domain -> codomain.
 
     Exact for: scaled isometries, any operator out of a weighted-l1 (or
@@ -442,10 +442,10 @@ def op_norm_bound(op, domain, codomain, rng=None):
             value = float(np.max(np.abs(op.entries)))
         return OperatorNormBound(value, exact=True)
 
-    return _sampled_bound(op, domain, codomain, rng)
+    return _sampled_bound(op, domain, codomain)
 
 
-def restricted_norm_bound(op, subspace, domain, codomain, rng=None):
+def restricted_norm_bound(op, subspace, domain, codomain):
     """Norm bound of ``op`` restricted to the span of coordinates ``subspace``."""
     cols = sorted(set(int(i) for i in subspace))
     if not cols:
@@ -455,7 +455,7 @@ def restricted_norm_bound(op, subspace, domain, codomain, rng=None):
     if op.in_dim != domain.dim or op.out_dim != codomain.dim:
         raise DimensionError("operator does not map domain into codomain")
     if len(cols) == domain.dim:
-        return op_norm_bound(op, domain, codomain, rng=rng)
+        return op_norm_bound(op, domain, codomain)
 
     unit_norms = domain.unit_vector_norms()[cols]
     if domain.kind == "weighted_l1" or len(cols) == 1:
@@ -466,7 +466,7 @@ def restricted_norm_bound(op, subspace, domain, codomain, rng=None):
         return OperatorNormBound(
             _corner_max(op.as_matrix(), codomain, cols=cols), exact=True
         )
-    return _sampled_bound(op, domain, codomain, rng, cols=cols)
+    return _sampled_bound(op, domain, codomain, cols=cols)
 
 
 class ContractionCertificate:

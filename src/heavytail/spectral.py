@@ -62,6 +62,9 @@ __all__ = [
 
 DEFAULT_MAX_TRIALS = 10**6
 
+# Angle draws behind Monte Carlo tail constants of a window sampler.
+_N_MC_CONSTANTS = 100_000
+
 
 class SamplingError(RuntimeError):
     """Rejection sampling did not reach its acceptance quota."""
@@ -72,29 +75,29 @@ def _rejection_collect(n, propose, rng, max_trials, label):
 
     The proposal budget is ``max_trials`` plus 20 proposals per requested
     draw; exhausting it raises SamplingError carrying the observed
-    acceptance rate.
+    acceptance rate.  At n = 0 the one proposal has size zero, which gives
+    correctly shaped empty results and draws nothing from ``rng``.
     """
     budget = max_trials + 20 * n
     parts = []
     accepted = 0
     proposed = 0
-    while accepted < n:
-        if proposed >= budget:
-            rate = accepted / proposed if proposed else 0.0
-            raise SamplingError(
-                f"{label}: acceptance rate ~{rate:.3e} too low after "
-                f"{proposed} proposals ({accepted}/{n} accepted)"
-            )
+    while True:
         need = n - accepted
         rate = accepted / proposed if proposed else 1.0
         m = int(np.ceil(need / max(rate, 1e-3) * 1.1))
         m = max(need, min(m, budget - proposed, 4_000_000))
         mask, payload = propose(m, rng)
-        hits = int(mask.sum())
-        if hits:
-            parts.append(tuple(p[mask] for p in payload))
-            accepted += hits
+        parts.append(tuple(p[mask] for p in payload))
+        accepted += int(mask.sum())
         proposed += m
+        if accepted >= n:
+            break
+        if proposed >= budget:
+            raise SamplingError(
+                f"{label}: acceptance rate ~{accepted / proposed:.3e} too low after "
+                f"{proposed} proposals ({accepted}/{n} accepted)"
+            )
     return tuple(
         np.concatenate([part[i] for part in parts])[:n] for i in range(len(parts[0]))
     )
@@ -116,18 +119,12 @@ def _tilt_accept(v, bound, alpha, rng):
 
 @dataclass
 class OperatorFamily:
-    """Indexed family {T_n} over a finite lag window, with norm bounds.
-
-    ``delta`` is the summability exponent in (0, min(alpha, 1)); for a
-    finite window the sum ``sum_n ||T_n||^delta`` is always finite and is
-    reported as the truncation proxy for the infinite-family condition.
-    """
+    """Indexed family {T_n} over a finite lag window, with norm bounds."""
 
     ops: dict
     domain: "NormSpec"
     codomain: "NormSpec"
     alpha: float
-    delta: float | None = None
     _bounds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -135,11 +132,6 @@ class OperatorFamily:
             raise DomainError("operator family must be nonempty")
         if self.alpha <= 0:
             raise DomainError("alpha must be positive")
-        cap = min(self.alpha, 1.0)
-        if self.delta is None:
-            self.delta = cap / 2.0
-        if not 0 < self.delta < cap:
-            raise DomainError(f"delta must lie in (0, {cap}), got {self.delta}")
         for n, op in self.ops.items():
             if op.in_dim != self.domain.dim or op.out_dim != self.codomain.dim:
                 raise DimensionError(f"operator at lag {n} has inconsistent dims")
@@ -176,22 +168,26 @@ class OperatorFamily:
         return self._bounds[n]
 
     def summability(self):
-        """sum_n ||T_n||^delta over the window (norm-bound values)."""
-        return float(sum(self.norm_bound(n).value ** self.delta for n in self.ops))
+        """sum_n ||T_n||^delta over the window (norm-bound values), at the
+        summability exponent delta = min(alpha, 1) / 2.  For a finite window
+        the sum is always finite; it is reported as the truncation proxy for
+        the infinite-family condition."""
+        delta = min(self.alpha, 1.0) / 2.0
+        return float(sum(self.norm_bound(n).value ** delta for n in self.ops))
 
 
-def family_from_coeffs(coeffs, alpha, space, start=0, delta=None):
+def family_from_coeffs(coeffs, alpha, space, start=0):
     """Family of scalar multiples a_n * Id at lags start, start+1, ..."""
     ops = {start + i: ScalarOp(a, space.dim) for i, a in enumerate(coeffs)}
-    return OperatorFamily(ops, space, space, alpha, delta)
+    return OperatorFamily(ops, space, space, alpha)
 
 
-def sequence_space_family(weights, alpha, delta=None):
+def sequence_space_family(weights, alpha):
     """Coordinate embeddings z -> z * e_n into the weighted-l1 space of ``weights``."""
     space = weighted_l1_norm(weights)
     ops = {n: EmbeddingOp(n, space.dim) for n in range(space.dim)}
     domain = weighted_l1_norm((1.0,))
-    return OperatorFamily(ops, domain, space, alpha, delta)
+    return OperatorFamily(ops, domain, space, alpha)
 
 
 def _tail_constants(ops, base, codomain, alpha, n_mc, rng):
@@ -286,9 +282,6 @@ class PushforwardAngle(SpectralSampler):
         self.max_trials = max_trials
 
     def sample(self, n, rng):
-        if n == 0:
-            return np.empty((0, self.space.dim))
-
         def propose(m, rng):
             theta = self.base.angle.sample(m, rng)
             image = self.operator.apply(theta)
@@ -333,15 +326,7 @@ class LinearProcessSpectral:
     act as the zero operator.
     """
 
-    def __init__(
-        self,
-        fam,
-        base,
-        consts=None,
-        n_mc_constants=100_000,
-        rng=None,
-        max_trials=DEFAULT_MAX_TRIALS,
-    ):
+    def __init__(self, fam, base, rng=None, max_trials=DEFAULT_MAX_TRIALS):
         if base.space.dim != fam.domain.dim:
             raise DimensionError("innovation angle dimension does not match family domain")
         self.fam = fam
@@ -349,11 +334,7 @@ class LinearProcessSpectral:
         self.alpha = fam.alpha
         self.space = fam.codomain
         self.max_trials = max_trials
-        self.consts = (
-            consts
-            if consts is not None
-            else series_constants(fam, base, n_mc_constants, rng)
-        )
+        self.consts = series_constants(fam, base, _N_MC_CONSTANTS, rng)
         for lag in fam.indices:  # materialize bounds (lazy cache is not thread-safe)
             fam.norm_bound(lag)
         self.backward_extent = fam.extent
@@ -415,7 +396,7 @@ class AR1Spectral(LinearProcessSpectral):
     """
 
     def __init__(self, T, base, horizon, **kwargs):
-        """``kwargs`` (n_mc_constants, rng, max_trials) go to LinearProcessSpectral."""
+        """``kwargs`` (rng, max_trials) go to LinearProcessSpectral."""
         cert = ContractionCertificate(T, base.space, horizon)
         super().__init__(OperatorFamily.powers(cert, base.alpha), base, **kwargs)
         self.T = T
@@ -440,7 +421,7 @@ class TransformedSpectral:
     ||A Theta_0|| above ``bound`` raises SamplingError.
     """
 
-    def __init__(self, base_sampler, A, codomain, bound=None, max_trials=DEFAULT_MAX_TRIALS):
+    def __init__(self, base_sampler, A, codomain, bound=None):
         if A.in_dim != base_sampler.space.dim:
             raise DimensionError("operator does not accept base window dimension")
         if bound is None:
@@ -452,16 +433,10 @@ class TransformedSpectral:
         self.bound = float(bound)
         self.alpha = base_sampler.alpha
         self.space = codomain
-        self.max_trials = max_trials
         self.backward_extent = getattr(base_sampler, "backward_extent", None)
         self.forward_extent = getattr(base_sampler, "forward_extent", None)
 
     def sample(self, n, back, fwd, rng):
-        if n == 0:
-            return WindowBatch(
-                np.empty((0, back + fwd + 1, self.space.dim)), back, fwd, self.space
-            )
-
         def propose(m, rng):
             wb = self.base.sample(m, back, fwd, rng)
             image = self.A.apply(wb.values)
@@ -471,7 +446,7 @@ class TransformedSpectral:
             return accept, (image, a0, origin)
 
         image, a0, origin = _rejection_collect(
-            n, propose, rng, self.max_trials, "transformed window sampler"
+            n, propose, rng, DEFAULT_MAX_TRIALS, "transformed window sampler"
         )
         return WindowBatch(
             image / a0[:, None, None], back, fwd, self.space, origin=origin
@@ -485,7 +460,7 @@ def tail_windows(sampler, n, back, fwd, rng):
     return TailBatch(y, wb)
 
 
-def cluster_windows(sampler, lookback, fwd, n, rng, max_trials=DEFAULT_MAX_TRIALS):
+def cluster_windows(sampler, lookback, fwd, n, rng):
     """Tail windows conditioned on no exceedance in the strict past.
 
     Resamples until sup_{-lookback <= t <= -1} ||Y_t|| <= 1.  ``lookback``
@@ -510,7 +485,7 @@ def cluster_windows(sampler, lookback, fwd, n, rng, max_trials=DEFAULT_MAX_TRIAL
         return accept, (wb.values, y, origin)
 
     values, y, origin = _rejection_collect(
-        n, propose, rng, max_trials, "cluster window sampler"
+        n, propose, rng, DEFAULT_MAX_TRIALS, "cluster window sampler"
     )
     return TailBatch(y, WindowBatch(values, lookback, fwd, sampler.space, origin=origin))
 
@@ -535,7 +510,7 @@ def _check_vanishing_on_zero_lead(f, back, fwd, space):
         )
 
 
-def time_change_rhs_samples(sampler, f, back, fwd, n, rng, alpha=None):
+def time_change_rhs_samples(sampler, f, back, fwd, n, rng):
     """Per-sample integrand of the time-change right-hand side.
 
     Each entry is f(Theta_0/||Theta_s||, ..., Theta_{t+s}/||Theta_s||) *
@@ -543,7 +518,7 @@ def time_change_rhs_samples(sampler, f, back, fwd, n, rng, alpha=None):
     only; the integrand is zero where ||Theta_s|| = 0.  The functional must
     vanish when its leading slot is zero (checked on probe windows).
     """
-    alpha = sampler.alpha if alpha is None else alpha
+    alpha = sampler.alpha
     _check_vanishing_on_zero_lead(f, back, fwd, sampler.space)
     wb = sampler.sample(n, 0, back + fwd, rng)
     ns = wb.norm_at(back)
@@ -557,13 +532,13 @@ def time_change_rhs_samples(sampler, f, back, fwd, n, rng, alpha=None):
     return out
 
 
-def time_change_rhs(sampler, f, back, fwd, n, rng, alpha=None):
+def time_change_rhs(sampler, f, back, fwd, n, rng):
     """Monte Carlo estimate (mean, stderr) of the time-change right-hand side."""
-    out = time_change_rhs_samples(sampler, f, back, fwd, n, rng, alpha)
+    out = time_change_rhs_samples(sampler, f, back, fwd, n, rng)
     return float(out.mean()), float(out.std(ddof=1) / np.sqrt(n))
 
 
-def limit_measure_samples(sampler, k, thresholds, n, rng, alpha=None):
+def limit_measure_samples(sampler, k, thresholds, n, rng):
     """Per-sample contributions to the k-lag limit-measure mass of a product
     of norm-threshold events.
 
@@ -574,7 +549,7 @@ def limit_measure_samples(sampler, k, thresholds, n, rng, alpha=None):
     is an interval (r_min, infinity) in the radius, contributing
     r_min^(-alpha).
     """
-    alpha = sampler.alpha if alpha is None else alpha
+    alpha = sampler.alpha
     if k < 1 or len(thresholds) != k:
         raise DomainError("need one threshold per coordinate")
     finite = [z for z in thresholds if z is not None]
@@ -612,7 +587,7 @@ def limit_measure_samples(sampler, k, thresholds, n, rng, alpha=None):
     return total
 
 
-def limit_measure_mass(sampler, k, thresholds, n, rng, alpha=None):
+def limit_measure_mass(sampler, k, thresholds, n, rng):
     """Monte Carlo estimate (mean, stderr) of the k-lag limit-measure mass."""
-    total = limit_measure_samples(sampler, k, thresholds, n, rng, alpha)
+    total = limit_measure_samples(sampler, k, thresholds, n, rng)
     return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n))

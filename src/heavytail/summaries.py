@@ -110,14 +110,14 @@ def _ratio_with_se(num, den):
 
 
 def joint_survival_limit(sampler, index_set, functionals=None, norm_weights=None,
-                         n=100_000, rng=None, alpha=None):
+                         n=100_000, rng=None):
     """Limit of joint survival probabilities relative to the marginal tail.
 
     Dual mode (``functionals``): E min_{i in I} (b_i . Theta_i)_+^alpha for
     one nonzero pairing per index.  Norm mode (``norm_weights``): positive
     scalars b_i, target E min_i b_i^alpha ||Theta_i||^alpha.
     """
-    alpha = sampler.alpha if alpha is None else alpha
+    alpha = sampler.alpha
     idx = sorted(set(int(i) for i in index_set))
     if 0 not in idx:
         raise DomainError("index set must contain 0")
@@ -152,13 +152,13 @@ def joint_survival_limit(sampler, index_set, functionals=None, norm_weights=None
     )
 
 
-def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, rng=None, alpha=None):
+def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, rng=None):
     """Coefficient of upper tail dependence at lag h.
 
     Dual mode: E min{(b.Theta_0)_+^alpha, (b.Theta_h)_+^alpha} / E (b.Theta_0)_+^alpha.
     Norm mode: E min(||Theta_h||^alpha, 1) (the denominator E ||Theta_0||^alpha is 1).
     """
-    alpha = sampler.alpha if alpha is None else alpha
+    alpha = sampler.alpha
     back, fwd = max(0, -h), max(0, h)
     wb = sampler.sample(n, back, fwd, rng)
     inputs = {"stat": "tail_dependence", "mode": mode, "h": h, "alpha": alpha, "n": n}
@@ -202,8 +202,7 @@ def extremogram_limit(sampler, event_a, event_b, h, n=100_000, rng=None):
     )
 
 
-def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000,
-                   rng=None, alpha=None):
+def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000, rng=None):
     """Extremal index via the sup-difference form (numerically stable, in [0,1]).
 
     Norm mode: E[ sup_{0<=t<=m} ||Theta_t||^alpha - sup_{1<=t<=m} ||Theta_t||^alpha ].
@@ -211,7 +210,7 @@ def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000,
     ``m_horizon`` must cover the forward support of the spectral process; it
     is checked against the sampler's forward extent when that is finite.
     """
-    alpha = sampler.alpha if alpha is None else alpha
+    alpha = sampler.alpha
     extent = getattr(sampler, "forward_extent", None)
     if m_horizon is None:
         if extent is None:

@@ -9,6 +9,7 @@ of (config, seed, worker count).
 
 from __future__ import annotations
 
+import itertools
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +38,9 @@ from .summaries import _ratio_with_se, ma_real_specials
 __all__ = ["Check", "SUITES", "run_suite", "build_report", "report_json"]
 
 _EXACT_FLOOR = 1e-12
+
+# Path-norm quantile used as the exceedance threshold by the empirical suite.
+_EMPIRICAL_QUANTILE = 0.999
 
 
 @dataclass(frozen=True)
@@ -98,18 +102,6 @@ def _mean_se(values):
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
 
 
-class _Tags:
-    """Deterministic stream tags, allocated in code order."""
-
-    def __init__(self, start):
-        self._next = start
-
-    def next(self):
-        tag = self._next
-        self._next += 1
-        return tag
-
-
 # ---------------------------------------------------------------------------
 # time-change suite
 
@@ -137,27 +129,27 @@ def suite_time_change(cfg, workers=1, n=None):
     sampler = cfg.window_sampler()
     alpha = cfg.alpha
     n = n or cfg.n_samples
-    tags = _Tags(1000)
+    tags = itertools.count(1000)
     checks = []
     s, t = 1, 1
     for label, f in _tc_battery(sampler.space, s, t, alpha):
         lhs = _mc_values(
-            lambda k, rng: f(sampler.sample(k, s, t, rng)), n, workers, cfg.seed, tags.next()
+            lambda k, rng: f(sampler.sample(k, s, t, rng)), n, workers, cfg.seed, next(tags)
         )
         rhs = _mc_values(
-            lambda k, rng: time_change_rhs_samples(sampler, f, s, t, k, rng, alpha),
-            n, workers, cfg.seed, tags.next(),
+            lambda k, rng: time_change_rhs_samples(sampler, f, s, t, k, rng),
+            n, workers, cfg.seed, next(tags),
         )
         (lm, ls), (rm, rs) = _mean_se(lhs), _mean_se(rhs)
         checks.append(_check_3se(f"time_change[{label},s={s},t={t}]", lm, rm, ls, rs))
     for s_lag in (1, 2):
         lhs = _mc_values(
             lambda k, rng: (sampler.sample(k, s_lag, 0, rng).norm_at(-s_lag) > 0).astype(float),
-            n, workers, cfg.seed, tags.next(),
+            n, workers, cfg.seed, next(tags),
         )
         rhs = _mc_values(
             lambda k, rng: sampler.sample(k, 0, s_lag, rng).norm_at(s_lag) ** alpha,
-            n, workers, cfg.seed, tags.next(),
+            n, workers, cfg.seed, next(tags),
         )
         (lm, ls), (rm, rs) = _mean_se(lhs), _mean_se(rhs)
         checks.append(_check_3se(f"degenerate_past[s={s_lag}]", lm, rm, ls, rs))
@@ -186,11 +178,11 @@ def suite_mixture(cfg, workers=1, n=None):
     against an exact conditional-tilt oracle on a discrete angle law."""
     sampler = cfg.window_sampler()
     n = n or cfg.n_samples
-    tags = _Tags(2000)
+    tags = itertools.count(2000)
     checks = []
 
     consts = sampler.consts
-    tag = tags.next()
+    tag = next(tags)
     origins = _mc_values(
         lambda k, rng: sampler.sample(k, 0, 0, rng).origin.astype(float),
         n, workers, cfg.seed, tag,
@@ -217,7 +209,7 @@ def suite_mixture(cfg, workers=1, n=None):
             raise RuntimeError("pushforward draw does not match any image atom")
         return labels.astype(float)
 
-    labels = _mc_values(draw_labels, n, workers, cfg.seed, tags.next())
+    labels = _mc_values(draw_labels, n, workers, cfg.seed, next(tags))
     freqs = np.array([np.mean(labels == i) for i in range(len(tilted))])
     tv = 0.5 * float(np.sum(np.abs(freqs - tilted)))
     checks.append(_check_abs("pushforward_tilt_tv", tv, 0.0, 0.01))
@@ -281,9 +273,11 @@ def _closed_tail_dep(cfg, h):
     return None
 
 
-def suite_empirical(cfg, workers=1, n=None, path_length=None, quantile=0.999,
-                    block_len=None, spectral_stat_floor=0.01):
+def suite_empirical(cfg, workers=1, n=None, path_length=None, spectral_stat_floor=0.01):
     """Path estimators against closed forms / window-sampler targets.
+
+    The threshold is the ``_EMPIRICAL_QUANTILE`` quantile of the path norms;
+    extremal-index blocks are at least 50 steps and twice the family extent.
 
     Conditional spectral statistics at a finite threshold carry a small
     bias that does not shrink with the path length (the threshold is a
@@ -294,11 +288,10 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None, quantile=0.999,
     """
     n = n or cfg.n_samples
     path = cfg.simulate(length=path_length)
-    u = float(np.quantile(path.norms(), quantile))
-    if block_len is None:
-        block_len = max(50, 2 * int(path.meta.get("family_extent", 0) or 1))
+    u = float(np.quantile(path.norms(), _EMPIRICAL_QUANTILE))
+    block_len = max(50, 2 * int(path.meta.get("family_extent", 0) or 1))
     checks = []
-    tags = _Tags(4000)
+    tags = itertools.count(4000)
     boot_rng = np.random.default_rng([cfg.seed, 4900])
 
     sampler = cfg.window_sampler()
@@ -317,7 +310,7 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None, quantile=0.999,
                 x1 = np.maximum(wb.slot(1)[:, 0], 0.0) ** alpha
                 return np.column_stack([np.minimum(x0, x1), x0])
 
-            pairs = _mc_values(dual_td, n, workers, cfg.seed, tags.next())
+            pairs = _mc_values(dual_td, n, workers, cfg.seed, next(tags))
             tm, ts = _ratio_with_se(pairs[:, 0], pairs[:, 1])
             checks.append(
                 _check_3se("empirical_tail_dep[h=1]", est.value, tm, est.stderr, ts)
@@ -335,7 +328,7 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None, quantile=0.999,
             sup1 = np.max(wb.norms()[:, 1:] ** alpha, axis=1)
             return np.maximum(1.0, sup1) - sup1
 
-        vals = _mc_values(theta_vals, n, workers, cfg.seed, tags.next())
+        vals = _mc_values(theta_vals, n, workers, cfg.seed, next(tags))
         tm, ts = _mean_se(vals)
         checks.append(
             _check_3se("blocks_extremal_index", blk.value, tm, blk.stderr, ts)
@@ -348,7 +341,7 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None, quantile=0.999,
 
     emp = empirical_spectral_stat(exc, stat, rng=boot_rng)
     target_vals = _mc_values(
-        lambda k, rng: stat(sampler.sample(k, 0, 1, rng)), n, workers, cfg.seed, tags.next()
+        lambda k, rng: stat(sampler.sample(k, 0, 1, rng)), n, workers, cfg.seed, next(tags)
     )
     tm, ts = _mean_se(target_vals)
     se = float(np.sqrt(emp.stderr**2 + ts**2))
@@ -377,22 +370,22 @@ def suite_limit_measure(cfg, workers=1, n=None):
     sampler = cfg.window_sampler()
     alpha = cfg.alpha
     n = n or cfg.n_samples
-    tags = _Tags(5000)
+    tags = itertools.count(5000)
     checks = []
     for r in (1.0, 2.0, 4.0):
         vals = _mc_values(
-            lambda k, rng, r=r: limit_measure_samples(sampler, 1, (r,), k, rng, alpha),
-            n, workers, cfg.seed, tags.next(),
+            lambda k, rng, r=r: limit_measure_samples(sampler, 1, (r,), k, rng),
+            n, workers, cfg.seed, next(tags),
         )
         m, se = _mean_se(vals)
         checks.append(_check_3se(f"limit_measure_k1[r={r:g}]", m, r**-alpha, se))
     v1 = _mc_values(
-        lambda k, rng: limit_measure_samples(sampler, 2, (1.0, 1.0), k, rng, alpha),
-        n, workers, cfg.seed, tags.next(),
+        lambda k, rng: limit_measure_samples(sampler, 2, (1.0, 1.0), k, rng),
+        n, workers, cfg.seed, next(tags),
     )
     v2 = _mc_values(
-        lambda k, rng: limit_measure_samples(sampler, 2, (2.0, 2.0), k, rng, alpha),
-        n, workers, cfg.seed, tags.next(),
+        lambda k, rng: limit_measure_samples(sampler, 2, (2.0, 2.0), k, rng),
+        n, workers, cfg.seed, next(tags),
     )
     (m1, s1), (m2, s2) = _mean_se(v1), _mean_se(v2)
     scale = 2.0**alpha

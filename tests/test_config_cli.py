@@ -253,13 +253,20 @@ def test_cli_verify_failure_is_exit_1(tmp_path, monkeypatch):
     assert json.loads(report.read_text())["all_passed"] is False
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
+    # neither importing the CLI nor simulating a scalar AR(1) path loads it
     src = str(pathlib.Path(heavytail.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, heavytail.cli; print('scipy.signal' in sys.modules)"
+    out_csv = str(tmp_path / "ar1.csv")
+    code = (
+        "import sys, heavytail.cli\n"
+        "rc = heavytail.cli.main(['simulate', '--config', 'ar1_scalar', '--length', '2000',"
+        f" '--out', {out_csv!r}])\n"
+        "print(rc, 'scipy.signal' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
 
 
 def test_cli_big_jump_non_contracting_ar1_is_exit_2(tmp_path, capsys):

@@ -18,7 +18,14 @@ from heavytail.simulate import (
     simulate_sequence_space,
     write_path_csv,
 )
-from heavytail.spaces import ContractionCertificate, DenseOp, DomainError, ScalarOp, max_norm
+from heavytail.spaces import (
+    ContractionCertificate,
+    DenseOp,
+    DiagonalOp,
+    DomainError,
+    ScalarOp,
+    max_norm,
+)
 from heavytail.spectral import family_from_coeffs
 
 R1 = max_norm(1)
@@ -131,6 +138,15 @@ def test_sequence_space_shape_and_shift():
     np.testing.assert_allclose(path.norms(), manual)
 
 
+def test_sequence_space_truncation_error_is_an_estimate():
+    # the seqspace value extrapolates the last weight ratio, so it is not
+    # reported as a bound: 0.9**5 * 0.9 / (1 - 0.9)
+    weights = [0.9**n for n in range(6)]
+    path = simulate_sequence_space(weights, POS1, PathConfig(10, 5, 5, seed=15))
+    assert "truncation_error_bound" not in path.meta
+    assert path.meta["truncation_error_estimate"] == pytest.approx(0.9**6 / 0.1)
+
+
 def test_sequence_space_one_dimensional():
     cfg = PathConfig(100, 0, 0, seed=16)
     path = simulate_sequence_space([1.0], POS1, cfg)
@@ -219,9 +235,13 @@ AR1_LENGTHS = [1, _AR1_BLOCK - 1, _AR1_BLOCK, _AR1_BLOCK + 1, 3 * _AR1_BLOCK + 1
 
 
 @pytest.mark.parametrize("length", AR1_LENGTHS)
-@pytest.mark.parametrize("matrix", [BENCH_MATRIX, NON_NORMAL], ids=["bench3", "nonnormal2"])
-def test_ar1_blocked_recursion_matches_per_step_loop(matrix, length):
-    T = DenseOp(matrix)
+@pytest.mark.parametrize(
+    "T",
+    [DenseOp(BENCH_MATRIX), DenseOp(NON_NORMAL), ScalarOp(0.5, 1), ScalarOp(-0.9, 1),
+     DiagonalOp([0.5, -0.3, 0.9])],
+    ids=["bench3", "nonnormal2", "scalar0.5", "scalar-0.9", "diag3"],
+)
+def test_ar1_blocked_recursion_matches_per_step_loop(T, length):
     innov = RegVarDist(1.5, 1.0, SphereUniform(max_norm(T.in_dim)))
     z = _innovation_block(innov, length, 20 + length)
     ref = _ar1_reference(T, z)

@@ -374,6 +374,23 @@ def test_cluster_lookback_must_cover_support():
         cluster_windows(sampler, 0, 1, 10, np.random.default_rng(26))
 
 
+def test_zero_draws_are_empty_and_leave_the_stream_alone():
+    space = max_norm(2)
+    sphere = RegVarDist(1.5, 1.0, SphereUniform(space))
+    push = PushforwardAngle(sphere, DenseOp([[1.0, 0.5], [-0.3, 0.8]]), space)
+    base = ma2_sampler()
+    tr = TransformedSpectral(base, ScalarOp(-2.0, 1), R1)
+    rng = np.random.default_rng(27)
+    state = rng.bit_generator.state
+    assert push.sample(0, rng).shape == (0, 2)
+    for sampler in (base, tr):
+        wb = sampler.sample(0, 1, 2, rng)
+        assert wb.values.shape == (0, 4, 1) and len(wb.origin) == 0
+    tb = cluster_windows(base, 1, 1, 0, rng)
+    assert len(tb) == 0 and tb.windows.values.shape == (0, 3, 1)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # time-change identity
 
