@@ -98,18 +98,13 @@ def cmd_spectral(args):
                 np.repeat(origin, width),
             )
     if n > 0 and hasattr(sampler, "consts"):
-        counts = {lag: 0 for lag in sampler.consts.indices}
-        for lag in origin:
-            counts[int(lag)] = counts.get(int(lag), 0) + 1
+        counts = dict(zip(*(a.tolist() for a in np.unique(origin, return_counts=True))))
         print("origin-lag frequencies (observed vs mixture probability):")
         for i, lag in enumerate(sampler.consts.indices):
             p = sampler.consts.p[i]
             se = np.sqrt(max(p * (1 - p), 0.0) / n)
-            print(f"  lag {lag}: {counts[lag] / n:.5f} vs p={p:.5f} (se {se:.5f})")
-        if hasattr(sampler, "acceptance_rates"):
-            rates = sampler.acceptance_rates()
-            worst = min(rates.values()) if rates else 1.0
-            print(f"component acceptance rates: min {worst:.4f}")
+            print(f"  lag {lag}: {counts.get(lag, 0) / n:.5f} vs p={p:.5f} (se {se:.5f})")
+        print(f"component acceptance rates: min {min(sampler.acceptance_rates().values()):.4f}")
     print(f"wrote {n} windows to {args.out}")
     return 0
 

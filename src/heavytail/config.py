@@ -391,24 +391,18 @@ class ModelConfig:
         return int(self.data["model"].get("horizon", 64))
 
     def window_sampler(self, rng=None):
-        """Spectral-window sampler for the configured model."""
+        """Spectral-window sampler for the configured model.  Without ``rng``,
+        Monte Carlo tail constants draw from stream 0xC0 of the seed."""
         innov = self.innovation()
+        if rng is None and innov.angle.atoms() is None:  # atoms give closed forms
+            rng = np.random.default_rng([self.seed, 0xC0])
         if self.model_type == "ar1":
             T = _build_operator(self.data["model"]["operator"], self.space().dim)
-            return AR1Spectral(
-                T,
-                innov,
-                self.ar1_horizon,
-                rng=rng,
-                max_trials=self.max_rejection_trials,
-            )
-        sampler = LinearProcessSpectral(
-            self.family(),
-            innov,
-            rng=rng,
-            max_trials=self.max_rejection_trials,
+            return AR1Spectral(T, innov, self.ar1_horizon, rng=rng,
+                               max_trials=self.max_rejection_trials)
+        return LinearProcessSpectral(
+            self.family(), innov, rng=rng, max_trials=self.max_rejection_trials
         )
-        return sampler
 
     def path_config(self, length=None) -> PathConfig:
         p = self.data["path"]

@@ -269,30 +269,26 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20, workers=1):
     thresholds are paired.  Innovation blocks are drawn from ``rng`` as one
     sequential stream, chunk by chunk and lag by lag.  ``workers > 1`` only
     overlaps drawing the next block with counting the current one, so the
-    results do not depend on ``workers``.  Each threshold keeps an integer
-    count of single-lag exceedances per draw, so a chunk of m draws needs
-    O(m * (d + #thresholds)) memory, not O(m * #lags).
+    results do not depend on ``workers``.  ``OperatorFamily.accumulate``
+    adds each lag's image to the running sum and returns its norm (an
+    embedding touches one column); each threshold keeps an integer count of
+    single-lag exceedances, so a chunk of m draws needs O(m * (d + #thresholds)) memory.
     """
     xs = [float(x) for x in xs]
     if any(x < innov.scale for x in xs):
         raise DomainError("thresholds must be at least the innovation scale")
     consts = series_constants(fam, innov, n_mc=min(n_mc, 100_000), rng=rng)
-    lags = fam.indices
     nx = len(xs)
-    cnt_sum_norm = np.zeros(nx)
-    cnt_norm_sum = np.zeros(nx)
-    disc = np.zeros(nx)
+    cnt_sum_norm, cnt_norm_sum, disc = np.zeros((3, nx))
     sizes = [min(chunk, n_mc - done) for done in range(0, n_mc, chunk)]
     blocks = _prefetched(lambda m: innov.sample(m, rng),
-                         [m for m in sizes for _ in lags], workers)
+                         [m for m in sizes for _ in fam.lags], workers)
     for m in sizes:
         vec_sum = np.zeros((m, fam.codomain.dim))
         norm_sum = np.zeros(m)
         n_single = np.zeros((nx, m), dtype=np.int64)
-        for lag in lags:
-            img = fam.ops[lag].apply(next(blocks))
-            vec_sum += img
-            nrm = fam.codomain.norm(img)
+        for k in range(len(fam.lags)):
+            nrm = fam.accumulate(vec_sum, k, next(blocks))
             norm_sum += nrm
             for i, x in enumerate(xs):
                 n_single[i] += nrm > x

@@ -32,16 +32,18 @@ def pareto_sample(alpha, rng, size=None):
     """Standard Pareto(alpha) draws via inverse CDF: (1 - U)^(-1/alpha), U ~ U[0,1)."""
     if alpha <= 0:
         raise DomainError(f"pareto index must be positive, got {alpha}")
-    u = rng.random(size)
-    return (1.0 - u) ** (-1.0 / alpha)
+    y = 1.0 - rng.random(size)
+    y **= -1.0 / alpha  # in place: the same values as y ** (-1 / alpha)
+    return y
 
 
 class SpectralSampler:
     """Sampler of unit vectors on the sphere of ``space``.
 
     Subclasses implement ``sample(n, rng) -> (n, dim) array`` of unit
-    vectors; finite-support samplers also expose their atoms so callers
-    can evaluate sphere integrals in closed form.
+    vectors, a new array the caller may overwrite; finite-support samplers
+    also expose their atoms so callers can evaluate sphere integrals in
+    closed form.
     """
 
     space: NormSpec
@@ -144,9 +146,7 @@ class RegVarDist:
         return self.angle.space
 
     def sample(self, n, rng):
-        radius = self.scale * pareto_sample(self.alpha, rng, n)
-        theta = self.angle.sample(n, rng)
-        return radius[:, None] * theta
+        return self.sample_exceedance(self.scale, n, rng)
 
     def sample_exceedance(self, u, n, rng):
         """Draw from L(X | ||X|| > u): radius u * Pareto(alpha), independent angle.
@@ -155,9 +155,11 @@ class RegVarDist:
         """
         if u < self.scale:
             raise DomainError(f"threshold {u} below scale {self.scale}")
-        radius = u * pareto_sample(self.alpha, rng, n)
+        radius = pareto_sample(self.alpha, rng, n)
+        radius *= u  # in place, as is the product below: same values, fewer temporaries
         theta = self.angle.sample(n, rng)
-        return radius[:, None] * theta
+        theta *= radius[:, None]
+        return theta
 
     def tail_prob(self, x):
         """Pr(||X|| > x): (x/scale)^(-alpha) above scale, 1 below."""

@@ -103,18 +103,18 @@ def simulate_linear(fam, innov, cfg):
     """
     if innov.space.dim != fam.domain.dim:
         raise DimensionError("innovation dimension does not match family domain")
-    if cfg.truncation < max(abs(fam.n_min), abs(fam.n_max)):
+    if cfg.truncation < max(abs(fam.indices[0]), abs(fam.indices[-1])):
         raise DomainError("truncation horizon smaller than the family window")
     if cfg.burn_in < cfg.truncation:
         raise DomainError("burn_in must be at least the truncation horizon")
     length = cfg.length
-    j_lo = 1 - fam.n_max
-    j_hi = length - fam.n_min
+    j_lo = 1 - fam.indices[-1]
+    j_hi = length - fam.indices[0]
     innovations = _innovation_block(innov, j_hi - j_lo + 1, cfg.seed)
     out = np.zeros((length, fam.codomain.dim))
-    for i in fam.indices:
+    for k, i in enumerate(fam.indices):
         start = (1 - i) - j_lo
-        out += fam.ops[i].apply(innovations[start : start + length])
+        fam.accumulate(out, k, innovations[start : start + length])
     meta = {
         "model": "linear",
         "seed": cfg.seed,

@@ -130,6 +130,13 @@ class NormSpec:
             return self.weight_array.copy()
         return np.ones(self.dim)
 
+    def axis_norms(self, v, index):
+        """``norm`` of v * e_index (broadcast), exactly, from the one nonzero entry."""
+        a = np.abs(v)
+        if self.kind == "lp" and self.p != 1.0:
+            a = np.sqrt(a * a) if self.p == 2.0 else (a**self.p) ** (1.0 / self.p)
+        return a * self.unit_vector_norms()[index]
+
     def dual_norm(self, coeffs):
         """Norm of the linear functional x -> sum(coeffs * x) on this space."""
         b = np.asarray(coeffs, dtype=float)

@@ -2,6 +2,8 @@
 
 This module carries the algorithmic core of the library:
 
+* ``OperatorFamily``: the lags' operators stacked once (scalar, embedding
+  or dense) for their images, norms and running sum;
 * push-forward of a spectral measure under a bounded linear operator,
   via rejection against an operator-norm envelope;
 * per-lag tail constants ``c_n = E ||T_n Theta||^alpha`` of an operator
@@ -119,7 +121,14 @@ def _tilt_accept(v, bound, alpha, rng):
 
 @dataclass
 class OperatorFamily:
-    """Indexed family {T_n} over a finite lag window, with norm bounds."""
+    """Indexed family {T_n} over a finite lag window, with norm bounds.
+
+    The operators at the sorted ``lags`` are stacked once into one ``kind``:
+    ``scalar`` (coefficients a_n), ``embedding`` (the index of z -> z * e_index)
+    or ``dense`` (matrices).  ``images``, ``norms`` and ``accumulate`` act on
+    lags by position in ``lags``; at one position they equal ``apply`` and ``norm``
+    byte for byte (chains act via their product matrix); embeddings build no images.
+    """
 
     ops: dict
     domain: "NormSpec"
@@ -135,26 +144,43 @@ class OperatorFamily:
         for n, op in self.ops.items():
             if op.in_dim != self.domain.dim or op.out_dim != self.codomain.dim:
                 raise DimensionError(f"operator at lag {n} has inconsistent dims")
+        self.lags = np.array(sorted(self.ops))
+        self.indices = self.lags.tolist()
+        self.extent = self.indices[-1] - self.indices[0]
+        members = [self.ops[n] for n in self.lags]
+        if all(isinstance(op, ScalarOp) for op in members):
+            self.kind, self.stack = "scalar", np.array([op.a for op in members])
+        elif all(isinstance(op, EmbeddingOp) for op in members):
+            self.kind, self.stack = "embedding", np.array([op.index for op in members])
+        else:
+            self.kind, self.stack = "dense", np.array([op.as_matrix() for op in members])
 
-    @property
-    def indices(self):
-        return sorted(self.ops)
+    def images(self, z, pos):
+        """T_n z for the lags at positions ``pos``, shape (len(z), len(pos), d_out)."""
+        s = self.stack[pos]
+        if self.kind == "scalar":
+            return z[:, None, :] * s[:, None]
+        if self.kind == "embedding":
+            out = np.zeros((len(z), len(s), self.codomain.dim))
+            out[:, np.arange(len(s)), s] = z
+            return out
+        return (z @ s.reshape(-1, self.domain.dim).T).reshape(len(z), len(s), -1)
 
-    @property
-    def n_min(self):
-        return min(self.ops)
+    def norms(self, z, pos):
+        """||T_n z|| for the same lags, shape (len(z), len(pos))."""
+        if self.kind == "embedding":
+            return self.codomain.axis_norms(z, self.stack[pos])
+        img = self.images(z, pos)
+        return self.codomain.norm(img.reshape(-1, img.shape[-1])).reshape(len(z), -1)
 
-    @property
-    def n_max(self):
-        return max(self.ops)
-
-    @property
-    def extent(self):
-        return self.n_max - self.n_min
-
-    def op(self, n):
-        """Operator at lag n; lags outside the window act as zero."""
-        return self.ops.get(n)
+    def accumulate(self, out, k, z):
+        """Add T_n z, n = lags[k], into ``out`` and return ||T_n z||."""
+        if self.kind == "embedding":
+            out[:, self.stack[k]] += z[:, 0]
+            return self.norms(z, [k])[:, 0]
+        img = self.images(z, [k])[:, 0]
+        out += img
+        return self.codomain.norm(img)
 
     @classmethod
     def powers(cls, cert, alpha):
@@ -190,31 +216,29 @@ def sequence_space_family(weights, alpha):
     return OperatorFamily(ops, domain, space, alpha)
 
 
-def _tail_constants(ops, base, codomain, alpha, n_mc, rng):
-    """Arrays (c, stderr) of c = E ||A Theta||^alpha for each A in ``ops``: closed
+def _tail_constants(fam, base, n_mc, rng):
+    """Arrays (c, stderr) of c_n = E ||T_n Theta||^alpha over ``fam.lags``: closed
     form where one exists, else Monte Carlo over one shared set of angle draws."""
-    c = np.zeros(len(ops))
-    se = np.zeros(len(ops))
+    c, se = np.zeros((2, len(fam.lags)))
     atoms = base.angle.atoms()
     mc = []
-    for i, op in enumerate(ops):
+    for k, n in enumerate(fam.lags):
         if atoms is not None:
-            points, weights = atoms
-            c[i] = weights @ codomain.norm(op.apply(points)) ** alpha
+            c[k] = atoms[1] @ fam.norms(atoms[0], [k])[:, 0] ** fam.alpha
         else:
-            scale = op.isometry_scale(base.angle.space, codomain)
+            scale = fam.ops[n].isometry_scale(base.angle.space, fam.codomain)
             if scale is not None:
-                c[i] = scale**alpha
+                c[k] = scale**fam.alpha
             else:
-                mc.append(i)
+                mc.append(k)
     if mc:
         if n_mc is None or rng is None:
             raise DomainError("family needs Monte Carlo constants; pass n_mc and rng")
         theta = base.angle.sample(n_mc, rng)
-        for i in mc:
-            values = codomain.norm(ops[i].apply(theta)) ** alpha
-            c[i] = values.mean()
-            se[i] = values.std(ddof=1) / np.sqrt(n_mc)
+        for k in mc:
+            values = fam.norms(theta, [k])[:, 0] ** fam.alpha
+            c[k] = values.mean()
+            se[k] = values.std(ddof=1) / np.sqrt(n_mc)
     return c, se
 
 
@@ -225,7 +249,8 @@ def pushforward_constant(A, base, codomain, n_mc=None, rng=None):
     operator is a scaled isometry; otherwise a Monte Carlo average over
     ``n_mc`` angle draws with its standard error.
     """
-    c, se = _tail_constants([A], base, codomain, base.alpha, n_mc, rng)
+    fam = OperatorFamily({0: A}, base.space, codomain, base.alpha)
+    c, se = _tail_constants(fam, base, n_mc, rng)
     return float(c[0]), float(se[0])
 
 
@@ -246,14 +271,11 @@ def series_constants(fam, base, n_mc=None, rng=None):
     Common random numbers across lags reduce the variance of the p_n
     ratios; lags with a closed form are exact regardless.
     """
-    indices = tuple(fam.indices)
-    c, se = _tail_constants(
-        [fam.ops[n] for n in indices], base, fam.codomain, fam.alpha, n_mc, rng
-    )
+    c, se = _tail_constants(fam, base, n_mc, rng)
     total = float(c.sum())
     if total <= 0:
         raise DomainError("degenerate operator family: all tail constants vanish")
-    return SeriesConstants(indices, c, c / total, total, se)
+    return SeriesConstants(tuple(fam.indices), c, c / total, total, se)
 
 
 class PushforwardAngle(SpectralSampler):
@@ -308,10 +330,7 @@ class PushforwardAngle(SpectralSampler):
         merged = {}
         for pt, w in zip(units, tilted):
             key = tuple(np.round(pt, 12))
-            if key in merged:
-                merged[key] += w
-            else:
-                merged[key] = w
+            merged[key] = merged[key] + w if key in merged else w
         pts = np.array(list(merged))
         w = np.array(list(merged.values()))
         return pts, w / w.sum()
@@ -337,26 +356,26 @@ class LinearProcessSpectral:
         self.consts = series_constants(fam, base, _N_MC_CONSTANTS, rng)
         for lag in fam.indices:  # materialize bounds (lazy cache is not thread-safe)
             fam.norm_bound(lag)
-        self.backward_extent = fam.extent
-        self.forward_extent = fam.extent
+        self.backward_extent = self.forward_extent = fam.extent
 
-    def _window_op(self, lag):
-        return self.fam.op(lag)
+    def _window_family(self, top):
+        """A family holding every lag a window can reach, up to lag ``top``."""
+        return self.fam
 
     def _component_draws(self, n_comp, m, rng):
-        op = self.fam.ops[n_comp]
+        k = [int(np.searchsorted(self.fam.lags, n_comp))]
         bound = self.fam.norm_bound(n_comp).value
         angle = self.base.angle
         if bound <= 0:
             raise SamplingError(f"component {n_comp} has zero norm bound")
-        iso = op.isometry_scale(angle.space, self.space)
+        iso = self.fam.ops[n_comp].isometry_scale(angle.space, self.space)
         if iso is not None and iso >= bound:
             theta = angle.sample(m, rng)
-            return theta, self.space.norm(op.apply(theta))
+            return theta, self.fam.norms(theta, k)[:, 0]
 
-        def propose(k, rng):
-            theta = angle.sample(k, rng)
-            v = self.space.norm(op.apply(theta))
+        def propose(j, rng):
+            theta = angle.sample(j, rng)
+            v = self.fam.norms(theta, k)[:, 0]
             return _tilt_accept(v, bound, self.alpha, rng), (theta, v)
 
         return _rejection_collect(
@@ -365,15 +384,24 @@ class LinearProcessSpectral:
 
     def sample(self, n, back, fwd, rng):
         picks = rng.choice(np.asarray(self.consts.indices), size=n, p=self.consts.p)
+        fam = self._window_family(int(picks.max(initial=0)) + fwd)
         out = np.zeros((n, back + fwd + 1, self.space.dim))
+        norms = np.zeros(out.shape[:2]) if fam.kind == "embedding" else None
         for n_comp in np.unique(picks):
             rows = np.flatnonzero(picks == n_comp)
             theta, denom = self._component_draws(int(n_comp), len(rows), rng)
-            for t in range(-back, fwd + 1):
-                op = self._window_op(int(n_comp) + t)
-                if op is not None:
-                    out[rows, back + t, :] = op.apply(theta) / denom[:, None]
-        return WindowBatch(out, back, fwd, self.space, origin=picks)
+            slots = np.flatnonzero(np.isin(n_comp + np.arange(-back, fwd + 1), fam.lags))
+            pos = np.searchsorted(fam.lags, n_comp - back + slots)
+            where = (rows[:, None], slots)
+            if norms is None:
+                img = fam.images(theta, pos)
+                img /= denom[:, None, None]  # T(theta / denom) would round differently
+                out[where] = img
+            else:
+                v = theta / denom[:, None]  # each slot's one nonzero: exact norms
+                out[where + (fam.stack[pos],)] = v
+                norms[where] = fam.norms(v, pos)
+        return WindowBatch(out, back, fwd, self.space, origin=picks, norms=norms)
 
     def acceptance_rates(self):
         """Per-component acceptance probabilities c_n / B_n^alpha (diagnostic)."""
@@ -404,11 +432,12 @@ class AR1Spectral(LinearProcessSpectral):
         self.tail_mass_bound = cert.tail(cert.horizon, base.alpha)
         self.forward_extent = None  # geometric decay, never exactly zero in general
 
-    def _window_op(self, lag):
-        if lag <= self.horizon:
-            return self.fam.op(lag)
+    def _window_family(self, top):
+        if top <= self.horizon:
+            return self.fam
         # Not cached: sample() runs on worker threads and the family stays read-only.
-        return op_power(self.T, lag)
+        ops = {n: self.fam.ops.get(n) or op_power(self.T, n) for n in range(top + 1)}
+        return OperatorFamily(ops, self.space, self.space, self.alpha)
 
     sample = LinearProcessSpectral.sample  # own entry: bench/tracer.py wraps per class
 
@@ -525,9 +554,8 @@ def time_change_rhs_samples(sampler, f, back, fwd, n, rng):
     nz = ns > 0
     out = np.zeros(n)
     if np.any(nz):
-        shifted = WindowBatch(
-            wb.values[nz] / ns[nz, None, None], back, fwd, sampler.space
-        )
+        shifted = WindowBatch(wb.values[nz], back, fwd, sampler.space)
+        shifted.values /= ns[nz, None, None]  # in place: the rows are a copy
         out[nz] = np.asarray(f(shifted), dtype=float) * ns[nz] ** alpha
     return out
 
@@ -577,8 +605,7 @@ def limit_measure_samples(sampler, k, thresholds, n, rng):
                 continue
             nm = norms[:, center + (m - j)]
             live &= nm > 0
-            with np.errstate(divide="ignore"):
-                r_min = np.maximum(r_min, np.where(nm > 0, z / np.maximum(nm, 1e-300), np.inf))
+            r_min = np.maximum(r_min, np.where(nm > 0, z / np.maximum(nm, 1e-300), np.inf))
         if not np.any(live):
             continue
         if np.any(r_min[live] <= 0):

@@ -26,7 +26,7 @@ from .estimate import (
     empirical_tail_dependence,
     hill_alpha,
 )
-from .rv import Atomic
+from .rv import Atomic, RegVarDist
 from .spaces import DiagonalOp, max_norm
 from .spectral import (
     PushforwardAngle,
@@ -196,8 +196,6 @@ def suite_mixture(cfg, workers=1, n=None):
         checks.append(_check_3se(f"origin_freq[lag={lag}]", freq, p, se))
 
     space, points, weights, operator, image_atoms, tilted = _canonical_tilt_example(cfg.alpha)
-    from .rv import RegVarDist
-
     base = RegVarDist(cfg.alpha, 1.0, Atomic(points, weights, space))
     push = PushforwardAngle(base, operator, space)
 

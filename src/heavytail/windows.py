@@ -16,7 +16,8 @@ __all__ = ["WindowBatch", "TailBatch"]
 class WindowBatch:
     """Stack of n spectral windows sharing the same index range."""
 
-    def __init__(self, values, back, fwd, space, origin=None):
+    def __init__(self, values, back, fwd, space, origin=None, norms=None):
+        """``norms``, if given, equals ``space.norm(values)`` and seeds ``norms()``."""
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[1] != back + fwd + 1:
             raise ValueError("window batch must have shape (n, back+fwd+1, dim)")
@@ -25,7 +26,7 @@ class WindowBatch:
         self.fwd = int(fwd)
         self.space = space
         self.origin = None if origin is None else np.asarray(origin)
-        self._norms = None
+        self._norms = norms
 
     def __len__(self):
         return self.values.shape[0]

@@ -280,3 +280,36 @@ def test_cli_big_jump_non_contracting_ar1_is_exit_2(tmp_path, capsys):
     assert code == 2
     assert "no power of the operator has norm bound < 1" in capsys.readouterr().err
     assert not report.exists()
+
+
+def _dense_sphere_config(tmp_path, n_samples):
+    data = {
+        "version": 1, "alpha": 1.5, "seed": 7,
+        "norm": {"kind": "lp", "dim": 3, "p": 2},
+        "innovation": {"scale": 1.0, "angle": {"kind": "sphere_uniform"}},
+        "model": {"type": "linear_ops", "operators": [
+            {"index": 0, "op": {"kind": "dense", "matrix": [
+                [1.0, 0.2, 0.0], [0.0, 0.8, 0.1], [0.1, 0.0, 0.6]]}},
+            {"index": 1, "op": {"kind": "dense", "matrix": [
+                [0.5, -0.3, 0.2], [0.1, 0.4, 0.0], [0.0, 0.2, -0.5]]}},
+        ]},
+        "mc": {"n_samples": n_samples},
+        "path": {"length": 20000, "burn_in": 1, "truncation": 1},
+    }
+    path = tmp_path / "dense_sphere.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("suite", ["time-change", "mixture"])
+def test_cli_monte_carlo_constants_get_a_stream(tmp_path, suite):
+    # Without a derived stream this config exited 2 ("family needs Monte Carlo constants").
+    cfg = _dense_sphere_config(tmp_path, 20_000)
+    report = tmp_path / "r.json"
+    argv = ["verify", "--config", cfg, "--suite", suite, "--workers", "1", "--report"]
+    assert main(argv + [str(report)]) == 0
+    first = report.read_bytes()
+    assert main(argv + [str(report)]) == 0
+    assert report.read_bytes() == first
+    consts = load_config(cfg).window_sampler().consts
+    assert np.all(consts.stderr > 0)

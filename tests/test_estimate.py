@@ -15,8 +15,20 @@ from heavytail.estimate import (
 )
 from heavytail.rv import Rademacher, RegVarDist, SphereUniform
 from heavytail.simulate import Path, PathConfig, simulate_ar1, simulate_linear
-from heavytail.spaces import DenseOp, DomainError, ScalarOp, max_norm
-from heavytail.spectral import OperatorFamily, family_from_coeffs, series_constants
+from heavytail.spaces import (
+    DenseOp,
+    DomainError,
+    EmbeddingOp,
+    ScalarOp,
+    max_norm,
+    weighted_l1_norm,
+)
+from heavytail.spectral import (
+    OperatorFamily,
+    family_from_coeffs,
+    sequence_space_family,
+    series_constants,
+)
 
 R1 = max_norm(1)
 POS1 = RegVarDist(1.0, 1.0, Rademacher(1.0))
@@ -286,12 +298,22 @@ def _dense_family():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["scalar", "dense"])
+@pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding"])
 def test_big_jump_matches_matrix_reference(case, workers):
     # chunk 4096 with n_mc = 3.5 chunks exercises a ragged last chunk
     if case == "scalar":
         fam = family_from_coeffs([1.0, 0.5], 2.0, R1)
         innov = RegVarDist(2.0, 1.0, Rademacher(0.7))
+        xs = [2.0, 10.0, 50.0]
+    elif case == "seqspace":
+        fam = sequence_space_family([0.8**n for n in range(8)], 1.0)
+        innov = RegVarDist(1.0, 1.0, Rademacher(0.6))
+        xs = [2.0, 10.0, 50.0]
+    elif case == "shared_embedding":
+        # two lags embed onto coordinate 1, so their innovations add there
+        ops = {0: EmbeddingOp(1, 3), 1: EmbeddingOp(1, 3), 2: EmbeddingOp(0, 3)}
+        fam = OperatorFamily(ops, R1, weighted_l1_norm([1.0, 0.5, 0.25]), 1.5)
+        innov = RegVarDist(1.5, 1.0, Rademacher(0.3))
         xs = [2.0, 10.0, 50.0]
     else:
         fam, innov, xs = _dense_family()

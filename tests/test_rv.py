@@ -136,3 +136,22 @@ def test_tail_homogeneity():
         frac = hits_ru.sum() / n_u
         se = np.sqrt(frac * (1 - frac) / n_u)
         assert abs(frac - r**-2.0) < 3 * max(se, 1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.0, 1.5])
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+@pytest.mark.parametrize("angle", [Rademacher(0.3), Rademacher(1.0), SphereUniform(lp_norm(3, 2))],
+                         ids=["rademacher0.3", "rademacher1", "sphere"])
+def test_in_place_draws_equal_the_plain_expressions(alpha, scale, angle):
+    def plain(radius_scale, n, rng):
+        radius = radius_scale * (1.0 - rng.random(n)) ** (-1.0 / alpha)
+        return radius[:, None] * angle.sample(n, rng)
+
+    dist = RegVarDist(alpha, scale, angle)
+    n = 20_000
+    got = dist.sample(n, np.random.default_rng(91))
+    assert got.tobytes() == plain(scale, n, np.random.default_rng(91)).tobytes()
+    got = dist.sample_exceedance(3.0 * scale, n, np.random.default_rng(92))
+    assert got.tobytes() == plain(3.0 * scale, n, np.random.default_rng(92)).tobytes()
+    want = (1.0 - np.random.default_rng(93).random(n)) ** (-1.0 / alpha)
+    assert pareto_sample(alpha, np.random.default_rng(93), n).tobytes() == want.tobytes()

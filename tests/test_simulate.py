@@ -19,14 +19,18 @@ from heavytail.simulate import (
     write_path_csv,
 )
 from heavytail.spaces import (
+    ChainOp,
     ContractionCertificate,
     DenseOp,
     DiagonalOp,
     DomainError,
+    EmbeddingOp,
     ScalarOp,
+    ShiftPowerOp,
     max_norm,
+    weighted_l1_norm,
 )
-from heavytail.spectral import family_from_coeffs
+from heavytail.spectral import OperatorFamily, family_from_coeffs
 
 R1 = max_norm(1)
 POS1 = RegVarDist(1.0, 1.0, Rademacher(1.0))
@@ -317,3 +321,42 @@ def test_path_csv_bytes_match_savetxt(length):
     buf = io.StringIO()
     write_path_csv(path, buf)
     assert buf.getvalue() == _savetxt_reference(path)
+
+
+def _linear_reference(fam, innov, cfg):
+    """The per-lag ``apply`` loop of ``simulate_linear``, kept as the reference."""
+    j_lo = 1 - fam.indices[-1]
+    innovations = _innovation_block(innov, cfg.length - fam.indices[0] - j_lo + 1, cfg.seed)
+    out = np.zeros((cfg.length, fam.codomain.dim))
+    for i in fam.indices:
+        start = (1 - i) - j_lo
+        out += fam.ops[i].apply(innovations[start : start + cfg.length])
+    return out
+
+
+def _linear_case(name):
+    if name == "scalar":
+        fam = family_from_coeffs([1.0, -0.5, 0.0, 0.25], 1.2, R1, start=-1)
+        return fam, RegVarDist(1.2, 1.0, Rademacher(0.3))
+    if name == "embedding":
+        ops = {0: EmbeddingOp(1, 3), 1: EmbeddingOp(1, 3), 2: EmbeddingOp(0, 3)}
+        fam = OperatorFamily(ops, R1, weighted_l1_norm([1.0, 0.5, 0.25]), 1.5)
+        return fam, RegVarDist(1.5, 2.0, Rademacher(0.6))
+    space = max_norm(3)
+    mix = [[0.5, -0.2, 0.1], [0.0, 0.4, 0.3], [0.2, 0.1, -0.6]]
+    ops = {0: DenseOp(mix), 1: DiagonalOp([1.0, -0.5, 0.25]), 2: ShiftPowerOp(1, 3),
+           3: ChainOp([DenseOp(mix), ShiftPowerOp(1, 3), ScalarOp(0.7, 3)])}
+    return OperatorFamily(ops, space, space, 1.5), RegVarDist(1.5, 1.0, SphereUniform(space))
+
+
+@pytest.mark.parametrize("case", ["scalar", "embedding", "dense_chain"])
+def test_linear_path_equals_per_lag_loop(case):
+    fam, innov = _linear_case(case)
+    cfg = PathConfig(5000, 3, 3, 31)
+    got = simulate_linear(fam, innov, cfg).values
+    want = _linear_reference(fam, innov, cfg)
+    if fam.kind == "dense":
+        scale = np.max(np.abs(want), axis=1)
+        assert np.max(np.max(np.abs(got - want), axis=1) / scale) <= 1e-12
+    else:
+        assert got.tobytes() == want.tobytes()

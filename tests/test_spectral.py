@@ -4,13 +4,17 @@ from scipy.integrate import quad
 
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.spaces import (
+    ChainOp,
     DenseOp,
     DiagonalOp,
     DomainError,
+    EmbeddingOp,
     ScalarOp,
+    ShiftPowerOp,
     lp_norm,
     max_norm,
     op_power,
+    weighted_l1_norm,
 )
 from heavytail.spectral import (
     AR1Spectral,
@@ -28,6 +32,7 @@ from heavytail.spectral import (
     tail_windows,
     time_change_rhs,
     window_mean,
+    _rejection_collect,
     _tilt_accept,
 )
 
@@ -528,3 +533,192 @@ def test_limit_measure_marginal_consistency():
     value, se = limit_measure_mass(sampler, 2, (None, 1.0), 50_000,
                                    np.random.default_rng(44))
     assert abs(value - 1.0) < 3 * max(se, 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked operator family against the per-lag apply loops it replaced
+
+
+def _component_draws_reference(sampler, n_comp, m, rng):
+    op = sampler.fam.ops[n_comp]
+    bound = sampler.fam.norm_bound(n_comp).value
+    angle = sampler.base.angle
+    iso = op.isometry_scale(angle.space, sampler.space)
+    if iso is not None and iso >= bound:
+        theta = angle.sample(m, rng)
+        return theta, sampler.space.norm(op.apply(theta))
+
+    def propose(k, rng):
+        theta = angle.sample(k, rng)
+        v = sampler.space.norm(op.apply(theta))
+        return _tilt_accept(v, bound, sampler.alpha, rng), (theta, v)
+
+    return _rejection_collect(m, propose, rng, sampler.max_trials, "reference")
+
+
+def _sample_reference(sampler, n, back, fwd, rng):
+    """The per-slot ``apply`` loop of ``LinearProcessSpectral.sample`` (with
+    AR(1) lags past the horizon as ``op_power``), kept as the reference."""
+    picks = rng.choice(np.asarray(sampler.consts.indices), size=n, p=sampler.consts.p)
+    out = np.zeros((n, back + fwd + 1, sampler.space.dim))
+    for n_comp in np.unique(picks):
+        rows = np.flatnonzero(picks == n_comp)
+        theta, denom = _component_draws_reference(sampler, int(n_comp), len(rows), rng)
+        for t in range(-back, fwd + 1):
+            lag = int(n_comp) + t
+            op = sampler.fam.ops.get(lag)
+            if op is None and isinstance(sampler, AR1Spectral) and lag > sampler.horizon:
+                op = op_power(sampler.T, lag)
+            if op is not None:
+                out[rows, back + t, :] = op.apply(theta) / denom[:, None]
+    return out, picks
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _row_rel_err(got, want):
+    scale = np.maximum(np.max(np.abs(want), axis=-1), 1e-300)
+    return float(np.max(np.max(np.abs(got - want), axis=-1) / scale))
+
+
+WEIGHTS8 = [0.8**n for n in range(8)]
+SPACE3 = max_norm(3)
+MIX3 = [[0.5, -0.2, 0.1], [0.0, 0.4, 0.3], [0.2, 0.1, -0.6]]
+
+
+def _stacked_case(name):
+    if name == "seqspace":
+        return sequence_space_family(WEIGHTS8, 1.3), RegVarDist(1.3, 1.0, Rademacher(0.6))
+    if name == "shared_embedding":
+        ops = {0: EmbeddingOp(1, 4), 1: EmbeddingOp(3, 4), 3: EmbeddingOp(1, 4)}
+        fam = OperatorFamily(ops, R1, weighted_l1_norm([1.0, 0.5, 0.7, 0.2]), 1.5)
+        return fam, RegVarDist(1.5, 1.0, Rademacher(0.3))
+    if name == "scalar":
+        fam = family_from_coeffs([1.0, -0.5, 0.25, 0.0], 0.8, R1, start=-1)
+        return fam, RegVarDist(0.8, 1.0, Rademacher(0.3))
+    if name == "scalar_sphere":
+        fam = family_from_coeffs([1.0, 0.6], 1.5, SPACE3)
+        return fam, RegVarDist(1.5, 1.0, SphereUniform(SPACE3))
+    ops = {0: DenseOp(MIX3), 1: DiagonalOp([1.0, -0.5, 0.25]), 2: ShiftPowerOp(1, 3),
+           3: ChainOp([DenseOp(MIX3), ShiftPowerOp(1, 3), ScalarOp(0.7, 3)])}
+    atoms = Atomic([[1.0, 0.0, 0.0], [0.5, -1.0, 0.25], [0.2, 0.3, 1.0]], [0.2, 0.5, 0.3], SPACE3)
+    return OperatorFamily(ops, SPACE3, SPACE3, 1.2), RegVarDist(1.2, 1.0, atoms)
+
+
+@pytest.mark.parametrize("back, fwd", [(0, 0), (1, 2), (3, 1), (5, 5)])
+@pytest.mark.parametrize("case", ["seqspace", "shared_embedding", "scalar", "scalar_sphere"])
+def test_stacked_sample_equals_per_lag_loop(case, back, fwd):
+    fam, base = _stacked_case(case)
+    sampler = LinearProcessSpectral(fam, base, rng=np.random.default_rng(40))
+    wb = sampler.sample(4000, back, fwd, np.random.default_rng(41))
+    want, picks = _sample_reference(sampler, 4000, back, fwd, np.random.default_rng(41))
+    np.testing.assert_array_equal(wb.origin, picks)
+    assert _bits(wb.values) == _bits(want)
+    assert (wb._norms is not None) == (fam.kind == "embedding")
+    assert _bits(wb.norms()) == _bits(sampler.space.norm(want))
+
+
+@pytest.mark.parametrize("back, fwd", [(0, 0), (1, 2), (4, 3)])
+def test_stacked_sample_dense_and_chain_within_rounding(back, fwd):
+    fam, base = _stacked_case("dense_chain")
+    assert fam.kind == "dense"
+    sampler = LinearProcessSpectral(fam, base)
+    wb = sampler.sample(4000, back, fwd, np.random.default_rng(42))
+    want, picks = _sample_reference(sampler, 4000, back, fwd, np.random.default_rng(42))
+    np.testing.assert_array_equal(wb.origin, picks)
+    assert _row_rel_err(wb.values, want) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [ScalarOp(0.7, 1), ScalarOp(-0.9, 1)], ids=["a0.7", "a-0.9"])
+def test_stacked_ar1_scalar_past_horizon_equals_op_power(T):
+    sampler = AR1Spectral(T, RegVarDist(1.0, 1.0, Rademacher(0.4)), horizon=3)
+    wb = sampler.sample(3000, 2, 9, np.random.default_rng(43))
+    want, picks = _sample_reference(sampler, 3000, 2, 9, np.random.default_rng(43))
+    assert picks.max() + 9 > sampler.horizon
+    np.testing.assert_array_equal(wb.origin, picks)
+    assert _bits(wb.values) == _bits(want)
+
+
+def test_stacked_ar1_dense_past_horizon_within_rounding():
+    T, angle, alpha = AR1_CASES[1]
+    sampler = AR1Spectral(T, RegVarDist(alpha, 1.0, angle), horizon=3)
+    wb = sampler.sample(3000, 1, 8, np.random.default_rng(44))
+    want, picks = _sample_reference(sampler, 3000, 1, 8, np.random.default_rng(44))
+    np.testing.assert_array_equal(wb.origin, picks)
+    assert _row_rel_err(wb.values, want) <= 1e-12
+
+
+@pytest.mark.parametrize("codomain", [
+    weighted_l1_norm(WEIGHTS8), max_norm(8), lp_norm(8, 1), lp_norm(8, 2), lp_norm(8, 1.5),
+], ids=["weighted_l1", "max", "l1", "l2", "l1.5"])
+def test_seeded_window_norms_equal_space_norm(codomain):
+    ops = {n: EmbeddingOp(n % 8, 8) for n in range(10)}
+    fam = OperatorFamily(ops, R1, codomain, 1.1)
+    sampler = LinearProcessSpectral(fam, RegVarDist(1.1, 2.5, Rademacher(0.5)))
+    wb = sampler.sample(5000, 3, 4, np.random.default_rng(45))
+    assert wb._norms is not None
+    assert _bits(wb.norms()) == _bits(codomain.norm(wb.values))
+    # window slots hold +-1 / ||e_j||; Pareto innovations exercise the formula
+    z = sampler.base.sample(5000, np.random.default_rng(46))
+    pos = np.arange(len(fam.lags))
+    assert _bits(fam.norms(z, pos)) == _bits(codomain.norm(fam.images(z, pos)))
+
+
+def _tail_constants_reference(ops, base, codomain, alpha, n_mc, rng):
+    """The per-operator ``apply`` loop of ``_tail_constants``, kept as the reference."""
+    c, se, mc = np.zeros(len(ops)), np.zeros(len(ops)), []
+    atoms = base.angle.atoms()
+    for i, op in enumerate(ops):
+        if atoms is not None:
+            c[i] = atoms[1] @ codomain.norm(op.apply(atoms[0])) ** alpha
+        else:
+            scale = op.isometry_scale(base.angle.space, codomain)
+            if scale is not None:
+                c[i] = scale**alpha
+            else:
+                mc.append(i)
+    if mc:
+        theta = base.angle.sample(n_mc, rng)
+        for i in mc:
+            values = codomain.norm(ops[i].apply(theta)) ** alpha
+            c[i] = values.mean()
+            se[i] = values.std(ddof=1) / np.sqrt(n_mc)
+    return c, se
+
+
+@pytest.mark.parametrize("case", ["seqspace", "shared_embedding", "scalar", "scalar_sphere",
+                                  "dense_chain", "dense_sphere"])
+def test_stacked_tail_constants_equal_per_lag_loop(case):
+    if case == "dense_sphere":
+        fam, _ = _stacked_case("dense_chain")
+        base = RegVarDist(1.2, 1.0, SphereUniform(SPACE3))
+    else:
+        fam, base = _stacked_case(case)
+    consts = series_constants(fam, base, n_mc=20_000, rng=np.random.default_rng(46))
+    c, se = _tail_constants_reference([fam.ops[n] for n in consts.indices], base,
+                                      fam.codomain, fam.alpha, 20_000, np.random.default_rng(46))
+    if fam.kind == "dense":
+        np.testing.assert_allclose(consts.c, c, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(consts.stderr, se, rtol=1e-9, atol=0)
+    else:
+        assert _bits(consts.c) == _bits(c) and _bits(consts.stderr) == _bits(se)
+
+
+def test_stacked_images_and_norms_match_apply():
+    z1 = np.random.default_rng(47).standard_normal((50, 1))
+    z3 = np.random.default_rng(48).standard_normal((50, 3))
+    for case, z in (("seqspace", z1), ("shared_embedding", z1), ("scalar_sphere", z3),
+                    ("dense_chain", z3)):
+        fam, _ = _stacked_case(case)
+        pos = np.arange(len(fam.lags))[::-1]
+        want = np.stack([fam.ops[fam.indices[k]].apply(z) for k in pos], axis=1)
+        assert _row_rel_err(fam.images(z, pos), want) <= 1e-12
+        norms = fam.norms(z, pos)
+        np.testing.assert_allclose(norms, fam.codomain.norm(want), rtol=1e-12, atol=0)
+        total = np.zeros((50, fam.codomain.dim))
+        for k in range(len(fam.lags)):
+            np.testing.assert_allclose(fam.accumulate(total, k, z), norms[:, ::-1][:, k],
+                                       rtol=1e-12, atol=0)
+        assert _row_rel_err(total, want.sum(axis=1)) <= 1e-12
