@@ -281,12 +281,14 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20, workers=1):
     nx = len(xs)
     cnt_sum_norm, cnt_norm_sum, disc = np.zeros((3, nx))
     sizes = [min(chunk, n_mc - done) for done in range(0, n_mc, chunk)]
+    # counts of at most len(lags), signed so that hit - count cannot wrap
+    count_dtype = np.min_scalar_type(-len(fam.lags) - 1)
     blocks = _prefetched(lambda m: innov.sample(m, rng),
                          [m for m in sizes for _ in fam.lags], workers)
     for m in sizes:
         vec_sum = np.zeros((m, fam.codomain.dim))
         norm_sum = np.zeros(m)
-        n_single = np.zeros((nx, m), dtype=np.int64)
+        n_single = np.zeros((nx, m), dtype=count_dtype)
         for k in range(len(fam.lags)):
             nrm = fam.accumulate(vec_sum, k, next(blocks))
             norm_sum += nrm

@@ -32,8 +32,11 @@ def pareto_sample(alpha, rng, size=None):
     """Standard Pareto(alpha) draws via inverse CDF: (1 - U)^(-1/alpha), U ~ U[0,1)."""
     if alpha <= 0:
         raise DomainError(f"pareto index must be positive, got {alpha}")
-    y = 1.0 - rng.random(size)
-    y **= -1.0 / alpha  # in place: the same values as y ** (-1 / alpha)
+    y = rng.random(size)
+    if size is None:
+        return (1.0 - y) ** (-1.0 / alpha)
+    np.subtract(1.0, y, out=y)  # in place: the same values, no second block to fault in
+    y **= -1.0 / alpha
     return y
 
 

@@ -298,7 +298,7 @@ def _dense_family():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding"])
+@pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding", "many_lags"])
 def test_big_jump_matches_matrix_reference(case, workers):
     # chunk 4096 with n_mc = 3.5 chunks exercises a ragged last chunk
     if case == "scalar":
@@ -309,6 +309,11 @@ def test_big_jump_matches_matrix_reference(case, workers):
         fam = sequence_space_family([0.8**n for n in range(8)], 1.0)
         innov = RegVarDist(1.0, 1.0, Rademacher(0.6))
         xs = [2.0, 10.0, 50.0]
+    elif case == "many_lags":
+        # at x = scale every lag exceeds, so the per-draw count reaches 128
+        fam = family_from_coeffs([1.0] * 128, 1.0, R1)
+        innov = RegVarDist(1.0, 1.0, Rademacher(0.5))
+        xs = [1.0, 10.0, 50.0]
     elif case == "shared_embedding":
         # two lags embed onto coordinate 1, so their innovations add there
         ops = {0: EmbeddingOp(1, 3), 1: EmbeddingOp(1, 3), 2: EmbeddingOp(0, 3)}

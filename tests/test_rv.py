@@ -15,7 +15,7 @@ class FixedUniform:
     def random(self, size=None):
         if size is None:
             return float(self.values[0])
-        return self.values[:size]
+        return self.values[:size].copy()  # a new array, as Generator.random returns
 
 
 def test_pareto_inverse_cdf_arithmetic():
