@@ -26,7 +26,6 @@ from .summaries import (
     extremal_index,
     extremogram_limit,
     joint_survival_limit,
-    ma_real_specials,
     tail_dependence,
 )
 from .verify import SUITES, build_report, report_json, run_suite
@@ -88,7 +87,6 @@ def cmd_spectral(args):
         fh.write(header + "\n")
         if n > 0:
             wb = sampler.sample(n, back, fwd, rng)
-            origin = wb.origin if wb.origin is not None else np.zeros(n, dtype=int)
             width = back + fwd + 1
             write_csv_rows(
                 fh,
@@ -96,10 +94,10 @@ def cmd_spectral(args):
                 np.repeat(np.arange(n), width),
                 np.tile(np.arange(-back, fwd + 1), n),
                 wb.values.reshape(n * width, d),
-                np.repeat(origin, width),
+                np.repeat(wb.origin, width),
             )
-    if n > 0 and hasattr(sampler, "consts"):
-        counts = dict(zip(*(a.tolist() for a in np.unique(origin, return_counts=True))))
+    if n > 0:
+        counts = dict(zip(*(a.tolist() for a in np.unique(wb.origin, return_counts=True))))
         print("origin-lag frequencies (observed vs mixture probability):")
         for i, lag in enumerate(sampler.consts.indices):
             p = sampler.consts.p[i]
@@ -116,12 +114,10 @@ def cmd_summarize(args):
     n = int(args.n) if args.n is not None else cfg.n_samples
     result: dict
     if args.stat == "ma-specials":
-        model = cfg.data["model"]
-        angle = cfg.data["innovation"]["angle"]
-        if model["type"] not in ("linear", "iid") or angle["kind"] != "rademacher":
+        rec = cfg.ma_specials()
+        if rec is None:
             raise ConfigError("ma-specials needs a scalar moving-average model "
                               "with sign innovations")
-        rec = ma_real_specials(model.get("coeffs", [1.0]), cfg.alpha, angle["p_plus"])
         result = {
             "stat": "ma-specials",
             "value": {
@@ -179,7 +175,7 @@ def cmd_verify(args):
     cfg = _load(args)
     workers = int(args.workers) if args.workers is not None else (os.cpu_count() or 1)
     checks = run_suite(cfg, args.suite, workers=workers)
-    report = build_report(checks, cfg, args.suite, workers=workers)
+    report = build_report(checks, cfg, args.suite)
     text = report_json(report)
     with open(args.report, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -233,10 +229,9 @@ def build_parser():
     p.add_argument("--suite", required=True, choices=tuple(SUITES) + ("all",))
     p.add_argument("--report", required=True)
     p.add_argument("--workers", type=int, default=None,
-                   help="MC worker streams (default: machine parallelism); the "
-                        "big-jump suite draws one sequential stream and only "
-                        "overlaps drawing with counting, so its checks do not "
-                        "depend on the worker count")
+                   help="threads for Monte Carlo (default: machine parallelism); "
+                        "sets speed only: every suite draws from streams fixed by "
+                        "(config, seed), so reports do not depend on it")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -442,6 +442,17 @@ class ModelConfig:
             return 1.0 - q**self.alpha
         return None
 
+    def ma_specials(self):
+        """Closed forms (``MARealSpecials``) when the model is a real moving
+        average (or iid) with sign innovations, else None."""
+        from .summaries import ma_real_specials
+
+        model = self.data["model"]
+        angle = self.data["innovation"]["angle"]
+        if model["type"] not in ("linear", "iid") or angle["kind"] != "rademacher":
+            return None
+        return ma_real_specials(model.get("coeffs", [1.0]), self.alpha, angle["p_plus"])
+
     def canonical_json(self):
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 

@@ -216,6 +216,11 @@ def sequence_space_family(weights, alpha):
     return OperatorFamily(ops, domain, space, alpha)
 
 
+def _mean_with_se(values):
+    """Monte Carlo mean of ``values`` and its standard error."""
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(len(values)))
+
+
 def _tail_constants(fam, base, n_mc, rng):
     """Arrays (c, stderr) of c_n = E ||T_n Theta||^alpha over ``fam.lags``: closed
     form where one exists, else Monte Carlo over one shared set of angle draws."""
@@ -237,8 +242,7 @@ def _tail_constants(fam, base, n_mc, rng):
         theta = base.angle.sample(n_mc, rng)
         for k in mc:
             values = fam.norms(theta, [k])[:, 0] ** fam.alpha
-            c[k] = values.mean()
-            se[k] = values.std(ddof=1) / np.sqrt(n_mc)
+            c[k], se[k] = _mean_with_se(values)
     return c, se
 
 
@@ -522,8 +526,7 @@ def cluster_windows(sampler, lookback, fwd, n, rng):
 def window_mean(sampler, f, back, fwd, n, rng):
     """Monte Carlo estimate (mean, stderr) of E f(Theta_{-back}, ..., Theta_{fwd})."""
     wb = sampler.sample(n, back, fwd, rng)
-    values = np.asarray(f(wb), dtype=float)
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
+    return _mean_with_se(np.asarray(f(wb), dtype=float))
 
 
 def _check_vanishing_on_zero_lead(f, back, fwd, space):
@@ -562,8 +565,7 @@ def time_change_rhs_samples(sampler, f, back, fwd, n, rng):
 
 def time_change_rhs(sampler, f, back, fwd, n, rng):
     """Monte Carlo estimate (mean, stderr) of the time-change right-hand side."""
-    out = time_change_rhs_samples(sampler, f, back, fwd, n, rng)
-    return float(out.mean()), float(out.std(ddof=1) / np.sqrt(n))
+    return _mean_with_se(time_change_rhs_samples(sampler, f, back, fwd, n, rng))
 
 
 def limit_measure_samples(sampler, k, thresholds, n, rng):
@@ -616,5 +618,4 @@ def limit_measure_samples(sampler, k, thresholds, n, rng):
 
 def limit_measure_mass(sampler, k, thresholds, n, rng):
     """Monte Carlo estimate (mean, stderr) of the k-lag limit-measure mass."""
-    total = limit_measure_samples(sampler, k, thresholds, n, rng)
-    return float(total.mean()), float(total.std(ddof=1) / np.sqrt(n))
+    return _mean_with_se(limit_measure_samples(sampler, k, thresholds, n, rng))

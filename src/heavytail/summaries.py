@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import DimensionError, DomainError
-from .spectral import tail_windows
+from .spectral import _mean_with_se, tail_windows
 
 __all__ = [
     "LinearFunctional",
@@ -145,8 +145,7 @@ def joint_survival_limit(sampler, index_set, functionals=None, norm_weights=None
         mode = "norm"
     values = np.min(np.column_stack(cols), axis=1)
     return LimitFunctionalResult(
-        float(values.mean()),
-        float(values.std(ddof=1) / np.sqrt(n)),
+        *_mean_with_se(values),
         "monte_carlo",
         {"stat": "joint_survival", "mode": mode, "indices": idx, "alpha": alpha, "n": n},
     )
@@ -164,16 +163,12 @@ def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, rng=None):
     inputs = {"stat": "tail_dependence", "mode": mode, "h": h, "alpha": alpha, "n": n}
     if mode == "norm":
         values = np.minimum(wb.norm_at(h) ** alpha, 1.0)
-        return LimitFunctionalResult(
-            float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)),
-            "monte_carlo", inputs,
-        )
+        return LimitFunctionalResult(*_mean_with_se(values), "monte_carlo", inputs)
     if b is None or b.is_zero():
         raise DomainError("dual mode needs a nonzero functional")
     x0 = np.maximum(b.pair(wb.slot(0)), 0.0) ** alpha
     xh = np.maximum(b.pair(wb.slot(h)), 0.0) ** alpha
-    den_mean = x0.mean()
-    den_se = x0.std(ddof=1) / np.sqrt(n)
+    den_mean, den_se = _mean_with_se(x0)
     if den_mean <= 3 * den_se:
         raise DomainError(
             "tail dependence undefined: denominator not distinguishable from zero"
@@ -226,10 +221,7 @@ def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000, rng=
         future = wb.norms()[:, 1:] ** alpha
         sup1 = np.max(future, axis=1) if m_horizon >= 1 else np.zeros(n)
         values = np.maximum(1.0, sup1) - sup1
-        return LimitFunctionalResult(
-            float(values.mean()), float(values.std(ddof=1) / np.sqrt(n)),
-            "monte_carlo", inputs,
-        )
+        return LimitFunctionalResult(*_mean_with_se(values), "monte_carlo", inputs)
     if b is None or b.is_zero():
         raise DomainError("dual mode needs a nonzero functional")
     scores = np.maximum(b.pair(wb.values), 0.0) ** alpha  # (n, m+1)

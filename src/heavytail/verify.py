@@ -1,10 +1,10 @@
 """Verification suites: Monte Carlo checks of the limit identities at desk scale.
 
 Each suite takes a run config and emits named checks (estimate, target,
-stderr, tolerance rule, pass/fail).  Monte Carlo work is partitioned over
-``workers`` independently seeded streams derived from the master seed by
-counter and reduced in fixed order, so a report is a deterministic function
-of (config, seed, worker count).
+stderr, tolerance rule, pass/fail).  Monte Carlo work is cut into chunks of
+a fixed size, each drawing from its own stream derived from the master seed
+by counter, and joined in chunk order; ``workers`` threads only schedule the
+chunks, so a report is a deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ from .rv import Atomic, RegVarDist
 from .spaces import DiagonalOp, max_norm
 from .spectral import (
     PushforwardAngle,
+    _mean_with_se,
     limit_measure_samples,
     time_change_rhs_samples,
 )
-from .summaries import _ratio_with_se, ma_real_specials
+from .summaries import _ratio_with_se
 
 __all__ = ["Check", "SUITES", "run_suite", "build_report", "report_json"]
 
@@ -41,6 +42,13 @@ _EXACT_FLOOR = 1e-12
 
 # Path-norm quantile used as the exceedance threshold by the empirical suite.
 _EMPIRICAL_QUANTILE = 0.999
+
+# Absolute allowance for the finite-threshold bias of the empirical suite's
+# conditional spectral statistic, on top of its 3-sigma band.
+_SPECTRAL_STAT_FLOOR = 0.01
+
+# Rows per Monte Carlo chunk: the unit of randomness of ``_mc_values``.
+_MC_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -76,30 +84,18 @@ def _check_rel(name, estimate, target, rel):
     )
 
 
-def _split_sizes(n, workers):
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
 def _mc_values(task, n, workers, seed, tag):
-    """Concatenate task(k, rng) values over worker streams, in worker order."""
-    sizes = _split_sizes(n, workers)
+    """Concatenate task(k, rng) values over chunks of ``_MC_CHUNK`` rows (the
+    last one ragged), in chunk order.  Chunk i draws from stream
+    [seed, tag, i]; ``workers`` only sets how many chunks run at once."""
+    sizes = [min(_MC_CHUNK, n - start) for start in range(0, n, _MC_CHUNK)]
 
     def run(i):
         rng = np.random.default_rng([int(seed), int(tag), i])
         return np.asarray(task(sizes[i], rng), dtype=float)
 
-    if workers == 1:
-        parts = [run(0)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(workers)))
-    return np.concatenate(parts)
-
-
-def _mean_se(values):
-    n = len(values)
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(n))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(run, range(len(sizes)))))
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +136,7 @@ def suite_time_change(cfg, workers=1, n=None):
             lambda k, rng: time_change_rhs_samples(sampler, f, s, t, k, rng),
             n, workers, cfg.seed, next(tags),
         )
-        (lm, ls), (rm, rs) = _mean_se(lhs), _mean_se(rhs)
+        (lm, ls), (rm, rs) = _mean_with_se(lhs), _mean_with_se(rhs)
         checks.append(_check_3se(f"time_change[{label},s={s},t={t}]", lm, rm, ls, rs))
     for s_lag in (1, 2):
         lhs = _mc_values(
@@ -151,7 +147,7 @@ def suite_time_change(cfg, workers=1, n=None):
             lambda k, rng: sampler.sample(k, 0, s_lag, rng).norm_at(s_lag) ** alpha,
             n, workers, cfg.seed, next(tags),
         )
-        (lm, ls), (rm, rs) = _mean_se(lhs), _mean_se(rhs)
+        (lm, ls), (rm, rs) = _mean_with_se(lhs), _mean_with_se(rhs)
         checks.append(_check_3se(f"degenerate_past[s={s_lag}]", lm, rm, ls, rs))
     return checks
 
@@ -255,11 +251,11 @@ def suite_big_jump(cfg, workers=1, n=None):
 
 
 def _closed_tail_dep(cfg, h):
+    specials = cfg.ma_specials()
+    if specials is not None:
+        return specials.tail_dep(h)
     model = cfg.data["model"]
     angle = cfg.data["innovation"]["angle"]
-    if model["type"] in ("linear", "iid") and angle["kind"] == "rademacher":
-        coeffs = model.get("coeffs", [1.0])
-        return ma_real_specials(coeffs, cfg.alpha, angle["p_plus"]).tail_dep(h)
     if (
         model["type"] == "ar1"
         and model["operator"]["kind"] == "scalar"
@@ -271,7 +267,7 @@ def _closed_tail_dep(cfg, h):
     return None
 
 
-def suite_empirical(cfg, workers=1, n=None, path_length=None, spectral_stat_floor=0.01):
+def suite_empirical(cfg, workers=1, n=None, path_length=None):
     """Path estimators against closed forms / window-sampler targets.
 
     The threshold is the ``_EMPIRICAL_QUANTILE`` quantile of the path norms;
@@ -279,10 +275,9 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None, spectral_stat_floo
 
     Conditional spectral statistics at a finite threshold carry a small
     bias that does not shrink with the path length (the threshold is a
-    fixed quantile); ``spectral_stat_floor`` is the absolute allowance for
+    fixed quantile); ``_SPECTRAL_STAT_FLOOR`` is the absolute allowance for
     it on top of the 3-sigma band.  Models whose window statistics are
-    near-deterministic (AR(1), lagged sequence space) need it; pass 0 to
-    enforce the plain 3-sigma rule.
+    near-deterministic (AR(1), lagged sequence space) need it.
     """
     n = n or cfg.n_samples
     path = cfg.simulate(length=path_length)
@@ -327,7 +322,7 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None, spectral_stat_floo
             return np.maximum(1.0, sup1) - sup1
 
         vals = _mc_values(theta_vals, n, workers, cfg.seed, next(tags))
-        tm, ts = _mean_se(vals)
+        tm, ts = _mean_with_se(vals)
         checks.append(
             _check_3se("blocks_extremal_index", blk.value, tm, blk.stderr, ts)
         )
@@ -341,13 +336,13 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None, spectral_stat_floo
     target_vals = _mc_values(
         lambda k, rng: stat(sampler.sample(k, 0, 1, rng)), n, workers, cfg.seed, next(tags)
     )
-    tm, ts = _mean_se(target_vals)
+    tm, ts = _mean_with_se(target_vals)
     se = float(np.sqrt(emp.stderr**2 + ts**2))
-    tol = max(3.0 * se, spectral_stat_floor, _EXACT_FLOOR)
+    tol = max(3.0 * se, _SPECTRAL_STAT_FLOOR, _EXACT_FLOOR)
     checks.append(
         Check(
             "empirical_spectral_stat[min_norm1]", emp.value, tm, se,
-            f"abs_err <= max(3*se, {spectral_stat_floor:g})",
+            f"abs_err <= max(3*se, {_SPECTRAL_STAT_FLOOR:g})",
             bool(abs(emp.value - tm) <= tol),
         )
     )
@@ -375,7 +370,7 @@ def suite_limit_measure(cfg, workers=1, n=None):
             lambda k, rng, r=r: limit_measure_samples(sampler, 1, (r,), k, rng),
             n, workers, cfg.seed, next(tags),
         )
-        m, se = _mean_se(vals)
+        m, se = _mean_with_se(vals)
         checks.append(_check_3se(f"limit_measure_k1[r={r:g}]", m, r**-alpha, se))
     v1 = _mc_values(
         lambda k, rng: limit_measure_samples(sampler, 2, (1.0, 1.0), k, rng),
@@ -385,7 +380,7 @@ def suite_limit_measure(cfg, workers=1, n=None):
         lambda k, rng: limit_measure_samples(sampler, 2, (2.0, 2.0), k, rng),
         n, workers, cfg.seed, next(tags),
     )
-    (m1, s1), (m2, s2) = _mean_se(v1), _mean_se(v2)
+    (m1, s1), (m2, s2) = _mean_with_se(v1), _mean_with_se(v2)
     scale = 2.0**alpha
     checks.append(
         _check_3se("limit_measure_k2_homogeneity", scale * m2, m1, scale * s2, s1)
@@ -415,9 +410,8 @@ def run_suite(cfg, suite, workers=1, **kwargs):
     return SUITES[suite](cfg, workers=workers, **kwargs)
 
 
-def build_report(checks, cfg, suite, workers=1):
-    """Report dict with stable key order; bytes depend only on
-    (config, seed, worker count)."""
+def build_report(checks, cfg, suite):
+    """Report dict with stable key order; bytes depend only on (config, seed)."""
     return {
         "suite": suite,
         "checks": [
@@ -435,7 +429,6 @@ def build_report(checks, cfg, suite, workers=1):
         "environment": {
             "seed": cfg.seed,
             "version": __version__,
-            "workers": workers,
             "runtime": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,

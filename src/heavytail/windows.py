@@ -46,14 +46,6 @@ class WindowBatch:
     def norm_at(self, t):
         return self.norms()[:, self.back + t]
 
-    def subwindow(self, back, fwd):
-        """Restrict every window to the offsets [-back, fwd]."""
-        if back > self.back or fwd > self.fwd:
-            raise IndexError("subwindow exceeds available offsets")
-        lo = self.back - back
-        hi = self.back + fwd + 1
-        return WindowBatch(self.values[:, lo:hi, :], back, fwd, self.space, self.origin)
-
 
 class TailBatch:
     """Batch of tail windows: Y_t = radius * Theta_t with shared per-row radius."""

@@ -9,9 +9,8 @@ import pytest
 
 import heavytail
 from heavytail.cli import main
-from heavytail.config import ConfigError, ModelConfig, list_presets, load_config
+from heavytail.config import ConfigError, list_presets, load_config
 from heavytail.verify import Check
-from heavytail.windows import WindowBatch
 
 
 def test_presets_load_and_round_trip():
@@ -161,11 +160,10 @@ def _spectral_csv_reference(cfg, n, back, fwd):
     wb = sampler.sample(n, back, fwd, np.random.default_rng([cfg.seed, 0x5B]))
     d = sampler.space.dim
     lines = ["sample,offset," + ",".join(f"x{j}" for j in range(d)) + ",origin\n"]
-    origin = wb.origin if wb.origin is not None else np.zeros(n, dtype=int)
     for i in range(n):
         for t in range(-back, fwd + 1):
             coords = ",".join("%.17g" % v for v in wb.values[i, back + t])
-            lines.append(f"{i},{t},{coords},{int(origin[i])}\n")
+            lines.append(f"{i},{t},{coords},{int(wb.origin[i])}\n")
     return "".join(lines)
 
 
@@ -176,30 +174,6 @@ def test_cli_spectral_bytes_match_row_loop(tmp_path, preset, window):
     assert main(["spectral", "--config", preset, "--n", "37", "--window",
                  *map(str, window), "--out", str(out)]) == 0
     assert out.read_text() == _spectral_csv_reference(load_config(preset), 37, *window)
-
-
-class _NoOriginSampler:
-    """Window sampler that drops the mixture origin of another one."""
-
-    def __init__(self, base):
-        self.base = base
-        self.space = base.space
-
-    def sample(self, n, back, fwd, rng):
-        wb = self.base.sample(n, back, fwd, rng)
-        return WindowBatch(wb.values, back, fwd, wb.space)
-
-
-def test_cli_spectral_bytes_match_row_loop_without_origin(tmp_path, monkeypatch):
-    build = ModelConfig.window_sampler
-    monkeypatch.setattr(ModelConfig, "window_sampler",
-                        lambda self, rng=None: _NoOriginSampler(build(self, rng)))
-    out = tmp_path / "w.csv"
-    assert main(["spectral", "--config", "ma3_positive", "--n", "25", "--window", "1", "2",
-                 "--out", str(out)]) == 0
-    text = out.read_text()
-    assert text == _spectral_csv_reference(load_config("ma3_positive"), 25, 1, 2)
-    assert all(line.endswith(",0") for line in text.splitlines()[1:])
 
 
 def test_cli_summarize_examples(tmp_path):

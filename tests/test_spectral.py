@@ -500,8 +500,6 @@ def test_window_batch_views():
         wb.slot(2)
     tb = tail_windows(sampler, 10, 1, 1, np.random.default_rng(41))
     np.testing.assert_allclose(tb.values_at(0)[2], tb.radii[2] * tb.windows.slot(0)[2])
-    sub = wb.subwindow(0, 1)
-    np.testing.assert_array_equal(sub.slot(0), wb.slot(0))
 
 
 def test_limit_measure_k3_mixture_oracle():

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
+from heavytail import verify
 from heavytail.config import list_presets, load_config
 from heavytail.estimate import empirical_tail_dependence, threshold_sweep
 from heavytail.verify import (
     build_report,
+    report_json,
     run_suite,
     suite_big_jump,
     suite_empirical,
@@ -62,13 +65,31 @@ def test_run_suite_all_on_iid():
     assert report["all_passed"] is True
 
 
-def test_worker_count_is_deterministic():
+def test_worker_count_is_deterministic(monkeypatch):
+    # 20000 rows in chunks of 6000: three full chunks and a ragged one of 2000
+    monkeypatch.setattr(verify, "_MC_CHUNK", 6000)
     cfg = load_config("ma2", FAST)
-    a = suite_time_change(cfg, workers=2)
-    b = suite_time_change(cfg, workers=2)
-    assert [(c.name, c.estimate, c.target) for c in a] == [
-        (c.name, c.estimate, c.target) for c in b
-    ]
+    for suite, kwargs in (("time-change", {}), ("mixture", {}),
+                          ("empirical-vs-closed", {"path_length": 200_000}),
+                          ("limit-measure", {})):
+        reports = {
+            report_json(build_report(run_suite(cfg, suite, workers=w, **kwargs), cfg, suite))
+            for w in (1, 2, 3)
+        }
+        assert len(reports) == 1, suite
+
+
+def test_mc_values_chunk_sizes():
+    def task(k, rng):
+        return rng.standard_normal(k)
+
+    c = verify._MC_CHUNK
+    for n in (c // 3, c, c + 1):
+        values = verify._mc_values(task, n, 1, 7, 1)
+        assert values.shape == (n,)
+        np.testing.assert_array_equal(verify._mc_values(task, n, 3, 7, 1), values)
+    # the ragged last chunk draws from its own stream [seed, tag, chunk index]
+    assert values[c] == np.random.default_rng([7, 1, 1]).standard_normal(1)[0]
 
 
 def test_acceptance_rate_diagnostics():
