@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, list_presets, load_config
+from .estimate import EstimationError
 from .simulate import write_csv_rows, write_path_csv
 from .spaces import DimensionError, DomainError
 from .spectral import SamplingError
@@ -174,6 +175,8 @@ def cmd_summarize(args):
 def cmd_verify(args):
     cfg = _load(args)
     workers = int(args.workers) if args.workers is not None else (os.cpu_count() or 1)
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     checks = run_suite(cfg, args.suite, workers=workers)
     report = build_report(checks, cfg, args.suite)
     text = report_json(report)
@@ -259,6 +262,9 @@ def main(argv=None):
         return 2
     except SamplingError as exc:
         print(f"sampling error: {exc}", file=sys.stderr)
+        return 1
+    except EstimationError as exc:
+        print(f"estimation error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -46,6 +46,8 @@ class ConfigError(ValueError):
     """Config file failed parsing, schema validation, or semantic checks."""
 
 
+# Referenced as #/definitions/operator, so chain parts are validated like
+# top-level operators.
 _OPERATOR_SCHEMA = {
     "oneOf": [
         {
@@ -98,7 +100,11 @@ _OPERATOR_SCHEMA = {
             "type": "object",
             "properties": {
                 "kind": {"const": "chain"},
-                "parts": {"type": "array", "minItems": 1},
+                "parts": {
+                    "type": "array",
+                    "items": {"$ref": "#/definitions/operator"},
+                    "minItems": 1,
+                },
             },
             "required": ["kind", "parts"],
             "additionalProperties": False,
@@ -111,6 +117,7 @@ SCHEMA = {
     "type": "object",
     "required": ["version", "alpha", "seed", "norm", "innovation", "model", "mc", "path"],
     "additionalProperties": False,
+    "definitions": {"operator": _OPERATOR_SCHEMA},
     "properties": {
         "version": {"const": 1},
         "alpha": {"type": "number", "exclusiveMinimum": 0},
@@ -188,8 +195,16 @@ SCHEMA = {
                             "type": "object",
                             "properties": {
                                 "kind": {"const": "atomic"},
-                                "points": {"type": "array", "minItems": 1},
-                                "weights": {"type": "array", "minItems": 1},
+                                "points": {
+                                    "type": "array",
+                                    "items": {"type": "array", "items": {"type": "number"}},
+                                    "minItems": 1,
+                                },
+                                "weights": {
+                                    "type": "array",
+                                    "items": {"type": "number"},
+                                    "minItems": 1,
+                                },
                             },
                             "required": ["kind", "points", "weights"],
                             "additionalProperties": False,
@@ -231,7 +246,7 @@ SCHEMA = {
                                 "type": "object",
                                 "properties": {
                                     "index": {"type": "integer"},
-                                    "op": _OPERATOR_SCHEMA,
+                                    "op": {"$ref": "#/definitions/operator"},
                                 },
                                 "required": ["index", "op"],
                                 "additionalProperties": False,
@@ -245,7 +260,7 @@ SCHEMA = {
                     "type": "object",
                     "properties": {
                         "type": {"const": "ar1"},
-                        "operator": _OPERATOR_SCHEMA,
+                        "operator": {"$ref": "#/definitions/operator"},
                         "horizon": {"type": "integer", "minimum": 1},
                     },
                     "required": ["type", "operator"],
@@ -282,6 +297,13 @@ SCHEMA = {
 }
 
 
+def _rows(rows, field):
+    """``rows`` as given; a ragged list of rows is a ConfigError naming ``field``."""
+    if len({len(r) for r in rows}) > 1:
+        raise ConfigError(f"{field} rows must all have the same length")
+    return rows
+
+
 def _build_operator(spec, dim):
     kind = spec["kind"]
     if kind == "scalar":
@@ -289,7 +311,7 @@ def _build_operator(spec, dim):
     if kind == "diagonal":
         return DiagonalOp(spec["entries"])
     if kind == "dense":
-        return DenseOp(spec["matrix"])
+        return DenseOp(_rows(spec["matrix"], "dense operator matrix"))
     if kind == "shift_power":
         return ShiftPowerOp(spec["m"], dim)
     if kind == "embedding":
@@ -355,7 +377,8 @@ class ModelConfig:
         elif kind == "sphere_uniform":
             angle = SphereUniform(space)
         else:
-            angle = Atomic(angle_spec["points"], angle_spec["weights"], space)
+            angle = Atomic(_rows(angle_spec["points"], "atomic angle points"),
+                           angle_spec["weights"], space)
         return RegVarDist(self.alpha, float(spec["scale"]), angle)
 
     def family(self) -> OperatorFamily:

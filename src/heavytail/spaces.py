@@ -8,11 +8,10 @@ norms/operators act along the last axis.
 
 Operators are small structured matrices (scalar multiples of the
 identity, diagonal, dense, coordinate shifts, coordinate embeddings, and
-compositions) with computable norm bounds.  Where a closed form exists
-the bound is exact; otherwise it is a sampled sphere maximum inflated by a
-safety factor.  That estimate can fall below the true norm, so rejection
-samplers raise when a drawn proposal exceeds it: detection, not a
-certificate.  ``ContractionCertificate`` bounds the powers of an operator.
+compositions) with computable norm bounds.  Every bound is exact or
+certified: where a closed form exists it is the norm itself, otherwise the
+domain's dual norm of the column norms, which no unit vector can exceed.
+``ContractionCertificate`` bounds the powers of an operator.
 """
 
 from __future__ import annotations
@@ -44,14 +43,8 @@ __all__ = [
 ]
 
 # Largest dimension for which exact sign-pattern enumeration of the
-# max-norm unit ball is attempted before falling back to sampling.
+# max-norm unit ball is attempted before falling back to the certified bound.
 _CORNER_ENUM_LIMIT = 16
-
-_FALLBACK_SAFETY = 1.05
-_FALLBACK_SAMPLES = 100_000
-# Fixed seed for the sampled norm-bound fallback so bounds are reproducible
-# when the caller does not supply a generator.
-_FALLBACK_SEED = 0xB0A7
 
 
 class DimensionError(ValueError):
@@ -371,45 +364,33 @@ def op_power(op, n):
 
 @dataclass(frozen=True)
 class OperatorNormBound:
-    """Upper bound on sup ||A theta|| over the domain unit sphere."""
+    """Upper bound on sup ||A theta|| over the domain unit sphere: the norm
+    itself when ``exact``, otherwise a certified upper bound."""
 
     value: float
     exact: bool
 
 
-def _corner_max(matrix, codomain, cols=None):
+def _corner_max(matrix, codomain):
     # Max-norm unit ball is the cube; a convex function attains its sup at
     # a sign pattern.  Exact for small dimension.
-    m = matrix if cols is None else matrix[:, cols]
-    k = m.shape[1]
+    k = matrix.shape[1]
     signs = np.array(
         [[1.0 if (i >> j) & 1 else -1.0 for j in range(k)] for i in range(2**k)]
     )
-    return float(np.max(codomain.norm(signs @ m.T)))
-
-
-def _sampled_bound(op, domain, codomain, cols=None):
-    rng = np.random.default_rng(_FALLBACK_SEED)
-    g = rng.standard_normal((_FALLBACK_SAMPLES, len(cols) if cols is not None else domain.dim))
-    x = g
-    if cols is not None:
-        x = np.zeros((_FALLBACK_SAMPLES, domain.dim))
-        x[:, cols] = g
-    norms = domain.norm(x)
-    keep = norms > 0
-    theta = x[keep] / norms[keep, None]
-    values = codomain.norm(op.apply(theta))
-    return OperatorNormBound(_FALLBACK_SAFETY * float(np.max(values)), exact=False)
+    return float(np.max(codomain.norm(signs @ matrix.T)))
 
 
 def op_norm_bound(op, domain, codomain):
-    """Operator norm of ``op`` viewed as a map domain -> codomain.
+    """Operator norm of ``op`` viewed as a map domain -> codomain, exact or certified.
 
-    Exact for: scaled isometries, any operator out of a weighted-l1 (or
-    1-dimensional) domain, max -> anything in small dimension, and
-    diagonal-like operators between identical lp spaces.  Otherwise a
-    sampled sphere maximum inflated by a 5% safety factor, flagged inexact;
-    that value is an estimate and may lie below the true norm.
+    Exact for: scaled isometries, any operator out of an l^1-type domain
+    (weighted l^1, l^1 or 1-dimensional), max -> max, max -> anything in
+    small dimension, l^2 -> l^2, and diagonal-like operators between
+    identical lp spaces.  Otherwise flagged inexact, with the certified
+    value ||(||A e_j||)_j||_*, the domain's dual norm of the column norms:
+    ||Ax|| <= sum_j |x_j| ||A e_j|| <= ||x|| ||(||A e_j||)_j||_* (triangle
+    inequality, then Holder).
     """
     if op.in_dim != domain.dim or op.out_dim != codomain.dim:
         raise DimensionError("operator does not map domain into codomain")
@@ -418,18 +399,13 @@ def op_norm_bound(op, domain, codomain):
     if s is not None:
         return OperatorNormBound(float(s), exact=True)
 
-    if domain.kind == "weighted_l1":
-        m = op.as_matrix()
-        values = codomain.norm(m.T) / domain.weight_array
-        return OperatorNormBound(float(np.max(values)), exact=True)
-
-    if domain.dim == 1:
-        # Every admissible 1-d norm is |z|.
-        m = op.as_matrix()
-        return OperatorNormBound(float(codomain.norm(m[:, 0])), exact=True)
+    m = op.as_matrix()
+    if domain.kind == "weighted_l1" or domain.dim == 1 or domain.p == 1.0:
+        # The unit ball is the hull of +-e_j / ||e_j||; the sup sits at one of them.
+        cols = codomain.norm(m.T) / domain.unit_vector_norms()
+        return OperatorNormBound(float(np.max(cols)), exact=True)
 
     if domain.kind == "max":
-        m = op.as_matrix()
         if codomain.kind == "max":
             return OperatorNormBound(float(np.max(np.sum(np.abs(m), axis=1))), exact=True)
         if domain.dim <= _CORNER_ENUM_LIMIT:
@@ -449,11 +425,19 @@ def op_norm_bound(op, domain, codomain):
             value = float(np.max(np.abs(op.entries)))
         return OperatorNormBound(value, exact=True)
 
-    return _sampled_bound(op, domain, codomain)
+    if domain.p == codomain.p == 2.0:
+        return OperatorNormBound(float(np.linalg.norm(m, 2)), exact=True)
+
+    return OperatorNormBound(domain.dual_norm(codomain.norm(m.T)), exact=False)
 
 
 def restricted_norm_bound(op, subspace, domain, codomain):
-    """Norm bound of ``op`` restricted to the span of coordinates ``subspace``."""
+    """Norm bound of ``op`` restricted to the span of coordinates ``subspace``.
+
+    The coordinate projection onto the span has norm 1 in these norms, so the
+    bound of ``op`` after it bounds the restriction; it is capped by the
+    bound of ``op`` itself (then flagged inexact).
+    """
     cols = sorted(set(int(i) for i in subspace))
     if not cols:
         raise DomainError("subspace must be nonempty")
@@ -461,19 +445,11 @@ def restricted_norm_bound(op, subspace, domain, codomain):
         raise DimensionError("subspace index out of range")
     if op.in_dim != domain.dim or op.out_dim != codomain.dim:
         raise DimensionError("operator does not map domain into codomain")
-    if len(cols) == domain.dim:
-        return op_norm_bound(op, domain, codomain)
-
-    unit_norms = domain.unit_vector_norms()[cols]
-    if domain.kind == "weighted_l1" or len(cols) == 1:
-        m = op.as_matrix()[:, cols]
-        values = codomain.norm(m.T) / unit_norms
-        return OperatorNormBound(float(np.max(values)), exact=True)
-    if domain.kind == "max" and len(cols) <= _CORNER_ENUM_LIMIT:
-        return OperatorNormBound(
-            _corner_max(op.as_matrix(), codomain, cols=cols), exact=True
-        )
-    return _sampled_bound(op, domain, codomain, cols=cols)
+    mask = np.zeros(domain.dim)
+    mask[cols] = 1.0
+    part = op_norm_bound(ChainOp([DiagonalOp(mask), op]), domain, codomain)
+    full = op_norm_bound(op, domain, codomain)
+    return part if part.value <= full.value else OperatorNormBound(full.value, exact=False)
 
 
 class ContractionCertificate:

@@ -17,8 +17,9 @@ This module carries the algorithmic core of the library:
 
 All samplers draw from the exact mixture law: a lag ``N`` is picked once
 with probability ``p_N`` and the innovation angle is then rejection-sampled
-within that component.  The envelope bound only affects efficiency; a drawn
-proposal above it raises SamplingError rather than bias the law.
+within that component.  The default envelope is ``op_norm_bound``, exact or
+certified, so it only affects efficiency; a drawn proposal above a
+caller-supplied envelope raises SamplingError rather than bias the law.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ class PushforwardAngle(SpectralSampler):
     accept when U <= (||A Theta|| / bound)^alpha and return the unit
     vector A Theta / ||A Theta||.  ``bound`` must be an upper bound on the
     essential supremum of ||A Theta||; a larger one only lowers the
-    acceptance rate.  A drawn proposal above ``bound`` raises SamplingError;
-    that detects a too-small bound on the draws made, it does not certify one.
+    acceptance rate.  The default, ``op_norm_bound``, is exact or certified;
+    a drawn proposal above a caller-supplied ``bound`` raises SamplingError.
     """
 
     def __init__(self, base, operator, codomain, bound=None, max_trials=DEFAULT_MAX_TRIALS):
@@ -450,8 +451,9 @@ class TransformedSpectral:
     """Spectral process of the operator image (A X_t) of a base time series.
 
     Accepts a base window when U <= (||A Theta_0|| / bound)^alpha and emits
-    the normalized image window (A Theta_t / ||A Theta_0||); a drawn
-    ||A Theta_0|| above ``bound`` raises SamplingError.
+    the normalized image window (A Theta_t / ||A Theta_0||).  The default
+    ``bound``, ``op_norm_bound``, is exact or certified; a drawn
+    ||A Theta_0|| above a caller-supplied one raises SamplingError.
     """
 
     def __init__(self, base_sampler, A, codomain, bound=None):

@@ -219,14 +219,14 @@ def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000, rng=
     inputs = {"stat": "extremal_index", "mode": mode, "m": m_horizon, "alpha": alpha, "n": n}
     if mode == "norm":
         future = wb.norms()[:, 1:] ** alpha
-        sup1 = np.max(future, axis=1) if m_horizon >= 1 else np.zeros(n)
+        sup1 = np.max(future, axis=1, initial=0.0)  # sup {} = 0 at m = 0
         values = np.maximum(1.0, sup1) - sup1
         return LimitFunctionalResult(*_mean_with_se(values), "monte_carlo", inputs)
     if b is None or b.is_zero():
         raise DomainError("dual mode needs a nonzero functional")
     scores = np.maximum(b.pair(wb.values), 0.0) ** alpha  # (n, m+1)
     sup0 = np.max(scores, axis=1)
-    sup1 = np.max(scores[:, 1:], axis=1) if m_horizon >= 1 else np.zeros(n)
+    sup1 = np.max(scores[:, 1:], axis=1, initial=0.0)
     den = scores[:, 0]
     if den.mean() <= 0:
         raise DomainError("extremal index undefined: denominator vanishes")

@@ -318,7 +318,7 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None):
 
         def theta_vals(k, rng):
             wb = sampler.sample(k, 0, int(horizon), rng)
-            sup1 = np.max(wb.norms()[:, 1:] ** alpha, axis=1)
+            sup1 = np.max(wb.norms()[:, 1:] ** alpha, axis=1, initial=0.0)  # sup {} = 0
             return np.maximum(1.0, sup1) - sup1
 
         vals = _mc_values(theta_vals, n, workers, cfg.seed, next(tags))

@@ -287,3 +287,72 @@ def test_cli_monte_carlo_constants_get_a_stream(tmp_path, suite):
     assert report.read_bytes() == first
     consts = load_config(cfg).window_sampler().consts
     assert np.all(consts.stderr > 0)
+
+
+def test_cli_verify_workers_below_one_is_exit_2(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    for workers in ("0", "-1"):
+        code = main(["verify", "--config", "iid", "--suite", "mixture", "--workers", workers,
+                     "--report", str(report)])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _single_op_config(tmp_path, op, dim, **fields):
+    data = {
+        "version": 1, "alpha": 1.5, "seed": 7,
+        "norm": {"kind": "max", "dim": dim},
+        "innovation": {"scale": 1.0, "angle": {"kind": "sphere_uniform"}},
+        "model": {"type": "linear_ops", "operators": [{"index": 0, "op": op}]},
+        "mc": {"n_samples": 2000},
+        "path": {"length": 3000, "burn_in": 0, "truncation": 0},
+    }
+    data.update(fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("op,fields,message", [
+    ({"kind": "chain", "parts": [{"kind": "scalar"}]}, {}, "operators/0/op/parts/0"),
+    ({"kind": "chain", "parts": [{"kind": "scalar", "a": "x"}]}, {}, "'x' is not of type"),
+    ({"kind": "dense", "matrix": [[1.0, 0.0], [1.0]]}, {}, "dense operator matrix rows"),
+    ({"kind": "scalar", "a": 0.5},
+     {"innovation": {"scale": 1.0, "angle": {
+         "kind": "atomic", "points": [["a", 1.0]], "weights": [1.0]}}},
+     "points/0/0: 'a' is not of type"),
+    ({"kind": "scalar", "a": 0.5},
+     {"innovation": {"scale": 1.0, "angle": {
+         "kind": "atomic", "points": [[1.0, 0.0], [1.0]], "weights": [0.5, 0.5]}}},
+     "atomic angle points rows"),
+])
+def test_cli_malformed_operator_or_atoms_is_exit_2(tmp_path, capsys, op, fields, message):
+    cfg = _single_op_config(tmp_path, op, 2, **fields)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op,dim", [
+    ({"kind": "scalar", "a": 0.5}, 1),
+    ({"kind": "dense", "matrix": [[1.0, 0.5], [0.0, 1.0]]}, 2),
+])
+def test_cli_empirical_single_lag_family(tmp_path, op, dim):
+    # No future slots: the sup over an empty set is 0, so theta = 1 exactly.
+    report = tmp_path / "r.json"
+    code = main(["verify", "--config", _single_op_config(tmp_path, op, dim),
+                 "--suite", "empirical-vs-closed", "--workers", "1", "--report", str(report)])
+    assert code in (0, 1)
+    checks = {c["name"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["blocks_extremal_index"]["target"] == 1.0
+
+
+def test_cli_estimation_error_is_exit_1(tmp_path, capsys):
+    data = json.loads(load_config("iid").canonical_json())
+    data["alpha"] = 1e-3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["verify", "--config", str(cfg), "--suite", "empirical-vs-closed",
+                 "--workers", "1", "--report", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "estimation error: no exceedances" in capsys.readouterr().err
