@@ -65,6 +65,10 @@ def cmd_simulate(args):
         overrides["path"] = {"length": int(args.length)}
     cfg = _load(args, overrides)
     path = cfg.simulate()
+    if not np.isfinite(path.values).all():
+        raise DomainError(
+            f"simulated path is not finite: at alpha={cfg.alpha:g} the Pareto radius "
+            "(1-U)**(-1/alpha) overflows float64")
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_path_csv(path, fh)
     meta = dict(path.meta)

@@ -17,6 +17,12 @@ alone.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import shutil
+import signal
+import tempfile
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +54,10 @@ _AR1_BLOCK = 1024
 
 # Rows formatted per string operation by write_csv_rows.
 _CSV_CHUNK_ROWS = 4096
+
+# Fewest rows write_csv_rows gives one process: below it a fork and the copy
+# back of its file cost more than the formatting they take off the caller.
+_CSV_MIN_SLICE_ROWS = 16 * _CSV_CHUNK_ROWS
 
 
 @dataclass(frozen=True)
@@ -243,17 +253,77 @@ def simulate_sequence_space(weights, innov, cfg):
     return Path(values, space, meta)
 
 
+def _csv_processes():
+    """Usable CPUs, or 1 where this process cannot fork safely.
+
+    Forking is left to POSIX hosts and to processes running no other Python
+    thread, since a thread holding a lock at the fork would leave the child
+    stuck on it.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_rows(stream, row_fmt, columns, lo, hi):
+    """Rows lo..hi-1, formatted ``_CSV_CHUNK_ROWS`` at a time."""
+    for start in range(lo, hi, _CSV_CHUNK_ROWS):
+        stop = min(start + _CSV_CHUNK_ROWS, hi)
+        chunk = np.column_stack([c[start:stop] for c in columns])
+        stream.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
 def write_csv_rows(stream, row_fmt, *columns):
     """Write ``row_fmt % row`` for each row of the side-by-side ``columns``.
 
-    Each column is a (n,) or (n, k) array.  Rows are formatted
-    ``_CSV_CHUNK_ROWS`` at a time, so only one chunk is ever stacked.  The
+    Each column is a (n,) or (n, k) array.  The rows are cut into one
+    contiguous slice per usable CPU (no slice below ``_CSV_MIN_SLICE_ROWS``
+    rows).  On POSIX, one forked child per slice after the first formats it
+    into a temporary file while this process writes slice 0 to ``stream``;
+    the children's files then follow in slice order, and a child that fails
+    raises ``OSError`` here.  Every slice is formatted ``_CSV_CHUNK_ROWS``
+    rows at a time, so only one chunk per process is ever stacked.  The
     chunk is float64, so integer columns must stay below 2**53 and use
-    ``%d``; the bytes equal ``np.savetxt`` with the same per-column formats.
+    ``%d``; the bytes equal ``np.savetxt`` with the same per-column formats,
+    whatever the number of processes.
     """
-    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        chunk = np.column_stack([c[lo : lo + _CSV_CHUNK_ROWS] for c in columns])
-        stream.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+    n = len(columns[0])
+    procs = max(1, min(_csv_processes(), n // _CSV_MIN_SLICE_ROWS))
+    bounds = [n * k // procs for k in range(procs + 1)]
+    files, pids = [], []
+    try:
+        if procs > 1:  # no byte buffered for stream is ever in two processes
+            stream.flush()
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            pid = os.fork()
+            if pid == 0:  # child: never return into the caller
+                code = 1
+                try:
+                    _write_rows(files[-1], row_fmt, columns, lo, hi)
+                    files[-1].flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+        _write_rows(stream, row_fmt, columns, bounds[0], bounds[1])
+        for fh in files:
+            _, status = os.waitpid(pids[0], 0)
+            pid, code = pids.pop(0), os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise OSError(f"CSV formatting process {pid} exited with status {code}")
+            fh.seek(0)
+            shutil.copyfileobj(fh, stream)
+    finally:
+        for pid in pids:  # only left when unwinding: stop and reap the rest
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        for fh in files:
+            fh.close()
 
 
 def write_path_csv(path, stream):

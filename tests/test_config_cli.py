@@ -176,6 +176,31 @@ def test_cli_spectral_bytes_match_row_loop(tmp_path, preset, window):
     assert out.read_text() == _spectral_csv_reference(load_config(preset), 37, *window)
 
 
+@pytest.mark.parametrize("procs", [1, 2, 3])
+def test_cli_spectral_bytes_do_not_depend_on_process_count(tmp_path, force_csv_processes,
+                                                            procs):
+    forks = force_csv_processes(procs, chunk_rows=7)
+    out = tmp_path / "w.csv"
+    assert main(["spectral", "--config", "seqspace", "--n", "37", "--window", "0", "2",
+                 "--out", str(out)]) == 0
+    assert len(forks) == procs - 1
+    assert out.read_text() == _spectral_csv_reference(load_config("seqspace"), 37, 0, 2)
+
+
+def test_cli_simulate_overflow_is_exit_2(tmp_path, capsys):
+    data = json.loads(load_config("iid").canonical_json())
+    data["alpha"] = 1e-3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "p.csv"
+    with np.errstate(over="ignore"):
+        code = main(["simulate", "--config", str(cfg), "--length", "2000", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "alpha=0.001" in err and "overflows float64" in err
+    assert not out.exists()
+
+
 def test_cli_summarize_examples(tmp_path):
     out = tmp_path / "s.json"
     assert main(["summarize", "--config", "ma2", "--stat", "ma-specials",

@@ -4,6 +4,8 @@ Generated configs cover every norm kind, angle kind, model type and operator
 kind (chains nested), at small Monte Carlo and path sizes.  Each one runs
 one CLI command: a window suite of ``verify``, ``simulate``, ``spectral`` or
 ``summarize``.  The big-jump suite is left out; it draws at least 4e6 sums.
+A ``simulate`` or ``spectral`` run that exits 0 must write a CSV of finite
+values.
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import json
 import tempfile
 
 import jsonschema
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -139,6 +142,9 @@ def test_schema_valid_configs_exit_cleanly(data, command):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
+        if code == 0 and command[0] in ("simulate", "spectral"):
+            values = np.loadtxt(f"{tmp}/out", delimiter=",", skiprows=1, ndmin=2)
+            assert np.isfinite(values).all()
     assert code in (0, 1, 2)
     if code == 2:
         assert "error:" in err.getvalue()

@@ -1,8 +1,11 @@
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
 
+from heavytail import simulate
 from heavytail.config import load_config
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.simulate import (
@@ -16,6 +19,7 @@ from heavytail.simulate import (
     simulate_ar1,
     simulate_linear,
     simulate_sequence_space,
+    write_csv_rows,
     write_path_csv,
 )
 from heavytail.spaces import (
@@ -311,16 +315,73 @@ def _savetxt_reference(path):
 CSV_SPECIALS = [1e-300, -1e-300, 1e300, -1e300, -0.0, 0.0, 3.0, -7.0, 2.0**52, 1e16, 0.1]
 
 
-@pytest.mark.parametrize("length", [1, 7, 2 * _CSV_CHUNK_ROWS + 5])
-def test_path_csv_bytes_match_savetxt(length):
+def _special_path(length):
+    """Wide-range Cauchy values with every other entry from ``CSV_SPECIALS``."""
     rng = np.random.default_rng(23)
     values = rng.standard_cauchy((length, 3)) * 10.0 ** rng.integers(-20, 20, (length, 3))
     flat = values.ravel()
     flat[::2] = np.resize(CSV_SPECIALS, flat[::2].size)
-    path = Path(values, max_norm(3), {})
+    return Path(values, max_norm(3), {})
+
+
+@pytest.mark.parametrize("length", [1, 7, 2 * _CSV_CHUNK_ROWS + 5])
+def test_path_csv_bytes_match_savetxt(length):
+    path = _special_path(length)
     buf = io.StringIO()
     write_path_csv(path, buf)
     assert buf.getvalue() == _savetxt_reference(path)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("procs", [1, 2, 3])
+@pytest.mark.parametrize("length,chunk_rows", [(1, 7), (2, 7), (25, 7), (100, 7),
+                                               (2 * _CSV_CHUNK_ROWS + 5, _CSV_CHUNK_ROWS)])
+def test_path_csv_bytes_do_not_depend_on_process_count(force_csv_processes, procs, length,
+                                                      chunk_rows):
+    forks = force_csv_processes(procs, chunk_rows)
+    path = _special_path(length)
+    buf = io.StringIO()
+    write_path_csv(path, buf)
+    assert len(forks) == min(procs, length) - 1
+    assert buf.getvalue() == _savetxt_reference(path)
+    _assert_no_child_left()
+
+
+class _FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError("stream is full")
+
+
+def test_csv_writer_reaps_children_when_the_stream_fails(force_csv_processes, monkeypatch):
+    forks = force_csv_processes(3, chunk_rows=7)
+    opened, temporary_file = [], tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile",
+                        lambda *a, **k: opened.append(temporary_file(*a, **k)) or opened[-1])
+    with pytest.raises(OSError, match="stream is full"):
+        write_csv_rows(_FailingStream(), "%.17g\n", np.arange(30.0))
+    assert len(forks) == 2 and len(opened) == 2
+    assert all(fh.closed for fh in opened)
+    _assert_no_child_left()
+
+
+def test_csv_writer_raises_when_a_child_fails(force_csv_processes, monkeypatch):
+    forks = force_csv_processes(3, chunk_rows=7)
+    parent, write_rows = os.getpid(), simulate._write_rows
+
+    def child_fails(stream, *args):
+        if os.getpid() != parent:
+            raise OSError("formatting failed")
+        write_rows(stream, *args)
+
+    monkeypatch.setattr(simulate, "_write_rows", child_fails)
+    with pytest.raises(OSError, match="exited with status 1"):
+        write_csv_rows(io.StringIO(), "%.17g\n", np.arange(30.0))
+    assert len(forks) == 2
+    _assert_no_child_left()
 
 
 def _linear_reference(fam, innov, cfg):
