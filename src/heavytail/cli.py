@@ -93,14 +93,16 @@ def cmd_spectral(args):
         if n > 0:
             wb = sampler.sample(n, back, fwd, rng)
             width = back + fwd + 1
-            write_csv_rows(
-                fh,
-                "%d,%d" + ",%.17g" * d + ",%d\n",
-                np.repeat(np.arange(n), width),
-                np.tile(np.arange(-back, fwd + 1), n),
-                wb.values.reshape(n * width, d),
-                np.repeat(wb.origin, width),
-            )
+            index = (np.repeat(np.arange(n), width), np.tile(np.arange(-back, fwd + 1), n))
+            origin = np.repeat(wb.origin, width)
+            if wb.coord is None:
+                write_csv_rows(fh, "%d,%d" + ",%.17g" * d + ",%d\n",
+                               *index, wb.values.reshape(n * width, d), origin)
+            else:  # one row format per nonzero coordinate; a zero slot prints +0.0 at x0
+                fmts = ["%d,%d" + ",0" * j + ",%.17g" + ",0" * (d - 1 - j) + ",%d\n"
+                        for j in range(d)]
+                write_csv_rows(fh, fmts, *index, wb.coef.ravel(), origin,
+                               fmt_index=np.maximum(wb.coord, 0).ravel())
     if n > 0:
         counts = dict(zip(*(a.tolist() for a in np.unique(wb.origin, return_counts=True))))
         print("origin-lag frequencies (observed vs mixture probability):")

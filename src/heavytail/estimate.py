@@ -36,6 +36,8 @@ _BOOT_SEED = 0xE57
 _N_BOOT = 200
 # Time steps per bootstrap block of the empirical tail dependence.
 _TD_BLOCK_LEN = 100
+# Rows per block when big_jump_paired norms a chunk's running sum.
+_NORM_BLOCK_ROWS = 1 << 16
 
 
 class EstimationError(RuntimeError):
@@ -294,12 +296,16 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20, workers=1):
             norm_sum += nrm
             for i, x in enumerate(xs):
                 n_single[i] += nrm > x
-        total_norm = fam.codomain.norm(vec_sum)
         for i, x in enumerate(xs):
-            hit = total_norm > x
-            cnt_sum_norm[i] += hit.sum()
             cnt_norm_sum[i] += (norm_sum > x).sum()
-            disc[i] += np.abs(hit - n_single[i]).sum()
+        # ||sum|| in row blocks: its temporaries stay small next to vec_sum
+        for lo in range(0, m, _NORM_BLOCK_ROWS):
+            rows = slice(lo, lo + _NORM_BLOCK_ROWS)
+            total_norm = fam.codomain.norm(vec_sum[rows])
+            for i, x in enumerate(xs):
+                hit = total_norm > x
+                cnt_sum_norm[i] += hit.sum()
+                disc[i] += np.abs(hit - n_single[i, rows]).sum()
     results = []
     for i, x in enumerate(xs):
         v = innov.tail_prob(x)

@@ -267,18 +267,26 @@ def _csv_processes():
     return len(os.sched_getaffinity(0))
 
 
-def _write_rows(stream, row_fmt, columns, lo, hi):
+def _write_rows(stream, row_fmt, columns, fmt_index, lo, hi):
     """Rows lo..hi-1, formatted ``_CSV_CHUNK_ROWS`` at a time."""
     for start in range(lo, hi, _CSV_CHUNK_ROWS):
         stop = min(start + _CSV_CHUNK_ROWS, hi)
         chunk = np.column_stack([c[start:stop] for c in columns])
-        stream.write((row_fmt * len(chunk)) % tuple(chunk.ravel().tolist()))
+        if fmt_index is None:
+            fmt = row_fmt * len(chunk)
+        else:
+            fmt = "".join([row_fmt[k] for k in fmt_index[start:stop].tolist()])
+        stream.write(fmt % tuple(chunk.ravel().tolist()))
 
 
-def write_csv_rows(stream, row_fmt, *columns):
+def write_csv_rows(stream, row_fmt, *columns, fmt_index=None):
     """Write ``row_fmt % row`` for each row of the side-by-side ``columns``.
 
-    Each column is a (n,) or (n, k) array.  The rows are cut into one
+    Each column is a (n,) or (n, k) array.  With ``fmt_index`` (n,) ints,
+    ``row_fmt`` is a table of row formats and row i is written with
+    ``row_fmt[fmt_index[i]]``, so that cells every row of a kind shares (say
+    the zeros of a window slot with one nonzero coordinate) are literal
+    text instead of formatted values.  The rows are cut into one
     contiguous slice per usable CPU (no slice below ``_CSV_MIN_SLICE_ROWS``
     rows).  On POSIX, one forked child per slice after the first formats it
     into a temporary file while this process writes slice 0 to ``stream``;
@@ -286,8 +294,9 @@ def write_csv_rows(stream, row_fmt, *columns):
     raises ``OSError`` here.  Every slice is formatted ``_CSV_CHUNK_ROWS``
     rows at a time, so only one chunk per process is ever stacked.  The
     chunk is float64, so integer columns must stay below 2**53 and use
-    ``%d``; the bytes equal ``np.savetxt`` with the same per-column formats,
-    whatever the number of processes.
+    ``%d``; the bytes equal each row formatted on its own (``np.savetxt``
+    with the same per-column formats, for one ``row_fmt``), whatever the
+    number of processes.
     """
     n = len(columns[0])
     procs = max(1, min(_csv_processes(), n // _CSV_MIN_SLICE_ROWS))
@@ -302,13 +311,13 @@ def write_csv_rows(stream, row_fmt, *columns):
             if pid == 0:  # child: never return into the caller
                 code = 1
                 try:
-                    _write_rows(files[-1], row_fmt, columns, lo, hi)
+                    _write_rows(files[-1], row_fmt, columns, fmt_index, lo, hi)
                     files[-1].flush()
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
-        _write_rows(stream, row_fmt, columns, bounds[0], bounds[1])
+        _write_rows(stream, row_fmt, columns, fmt_index, bounds[0], bounds[1])
         for fh in files:
             _, status = os.waitpid(pids[0], 0)
             pid, code = pids.pop(0), os.waitstatus_to_exitcode(status)

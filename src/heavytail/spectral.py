@@ -9,7 +9,10 @@ This module carries the algorithmic core of the library:
 * per-lag tail constants ``c_n = E ||T_n Theta||^alpha`` of an operator
   family and the mixture probabilities ``p_n = c_n / sum c`` they induce;
 * exact window samplers for the spectral process of linear processes,
-  first-order autoregressions, and operator images of either;
+  first-order autoregressions, and operator images of either; windows of an
+  embedding family come in the sparse axis form of ``WindowBatch`` (one
+  coefficient and one coordinate per slot), which the time-change
+  right-hand side and the window CSV use without building dense values;
 * tail windows (independent Pareto radius attached) and cluster windows
   (conditioned on no exceedance in the strict past);
 * the time-change right-hand side and the finite-window limit-measure
@@ -347,7 +350,8 @@ class LinearProcessSpectral:
     The law is the mixture sum_n p_n kappa_n: pick lag N from p, accept an
     innovation angle theta when U <= (||T_N theta|| / B_N)^alpha, and emit
     Theta_t = T_{N+t} theta / ||T_N theta||; lags outside the family window
-    act as the zero operator.
+    act as the zero operator.  For an embedding family every slot has at most
+    one nonzero coordinate, and ``sample`` returns an axis-form batch.
     """
 
     def __init__(self, fam, base, rng=None, max_trials=DEFAULT_MAX_TRIALS):
@@ -388,25 +392,36 @@ class LinearProcessSpectral:
         )
 
     def sample(self, n, back, fwd, rng):
+        """n windows Theta_{-back} .. Theta_{fwd}; in axis form for an embedding family."""
         picks = rng.choice(np.asarray(self.consts.indices), size=n, p=self.consts.p)
         fam = self._window_family(int(picks.max(initial=0)) + fwd)
-        out = np.zeros((n, back + fwd + 1, self.space.dim))
-        norms = np.zeros(out.shape[:2]) if fam.kind == "embedding" else None
-        for n_comp in np.unique(picks):
-            rows = np.flatnonzero(picks == n_comp)
-            theta, denom = self._component_draws(int(n_comp), len(rows), rng)
-            slots = np.flatnonzero(np.isin(n_comp + np.arange(-back, fwd + 1), fam.lags))
-            pos = np.searchsorted(fam.lags, n_comp - back + slots)
-            where = (rows[:, None], slots)
-            if norms is None:
-                img = fam.images(theta, pos)
-                img /= denom[:, None, None]  # T(theta / denom) would round differently
-                out[where] = img
+        offsets = np.arange(-back, fwd + 1)
+        axis = fam.kind == "embedding"
+        if axis:
+            scale = np.empty(n)  # theta / ||T_N theta|| of each window's one draw
+        else:
+            out = np.zeros((n, len(offsets), self.space.dim))
+        # rows grouped by component, ascending within each group
+        comps, counts = np.unique(picks, return_counts=True)
+        groups = np.split(np.argsort(picks, kind="stable"), np.cumsum(counts)[:-1])
+        for n_comp, rows in zip(comps.tolist(), groups):
+            theta, denom = self._component_draws(n_comp, len(rows), rng)
+            if axis:
+                scale[rows] = theta[:, 0] / denom
             else:
-                v = theta / denom[:, None]  # each slot's one nonzero: exact norms
-                out[where + (fam.stack[pos],)] = v
-                norms[where] = fam.norms(v, pos)
-        return WindowBatch(out, back, fwd, self.space, origin=picks, norms=norms)
+                slots = np.flatnonzero(np.isin(n_comp + offsets, fam.lags))
+                img = fam.images(theta, np.searchsorted(fam.lags, n_comp + offsets[slots]))
+                img /= denom[:, None, None]  # T(theta / denom) would round differently
+                out[rows[:, None], slots] = img
+        if not axis:
+            return WindowBatch(out, back, fwd, self.space, origin=picks)
+        lag = picks[:, None] + offsets
+        pos = np.minimum(np.searchsorted(fam.lags, lag), len(fam.lags) - 1)
+        live = fam.lags[pos] == lag
+        return WindowBatch.from_axes(
+            np.where(live, scale[:, None], 0.0), np.where(live, fam.stack[pos], -1),
+            back, fwd, self.space, origin=picks,
+        )
 
     def acceptance_rates(self):
         """Per-component acceptance probabilities c_n / B_n^alpha (diagnostic)."""
@@ -559,8 +574,7 @@ def time_change_rhs_samples(sampler, f, back, fwd, n, rng):
     nz = ns > 0
     out = np.zeros(n)
     if np.any(nz):
-        shifted = WindowBatch(wb.values[nz], back, fwd, sampler.space)
-        shifted.values /= ns[nz, None, None]  # in place: the rows are a copy
+        shifted = wb.divided(nz, ns[nz], back)
         out[nz] = np.asarray(f(shifted), dtype=float) * ns[nz] ** alpha
     return out
 

@@ -187,6 +187,32 @@ def test_cli_spectral_bytes_do_not_depend_on_process_count(tmp_path, force_csv_p
     assert out.read_text() == _spectral_csv_reference(load_config("seqspace"), 37, 0, 2)
 
 
+@pytest.mark.parametrize("procs", [1, 2, 3])
+@pytest.mark.parametrize("window", [(0, 33), (34, 1)])
+def test_cli_spectral_axis_form_bytes_match_row_loop(tmp_path, force_csv_processes, procs,
+                                                      window):
+    # seqspace windows are in axis form; these reach past its 32 lags, so every
+    # window holds all-zero rows
+    cfg = load_config("seqspace")
+    assert cfg.window_sampler().sample(1, 0, 0, np.random.default_rng(0)).coord is not None
+    forks = force_csv_processes(procs, chunk_rows=7)
+    out = tmp_path / "w.csv"
+    assert main(["spectral", "--config", "seqspace", "--n", "37", "--window",
+                 *map(str, window), "--out", str(out)]) == 0
+    assert len(forks) == procs - 1
+    text = out.read_text()
+    assert ("," + ",".join(["0"] * 32) + ",") in text
+    assert text == _spectral_csv_reference(cfg, 37, *window)
+
+
+def test_cli_spectral_axis_form_empty(tmp_path):
+    out = tmp_path / "w0.csv"
+    assert main(["spectral", "--config", "seqspace", "--n", "0", "--window", "1", "2",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == ("sample,offset," + ",".join(f"x{j}" for j in range(32))
+                               + ",origin\n")
+
+
 def test_cli_simulate_overflow_is_exit_2(tmp_path, capsys):
     data = json.loads(load_config("iid").canonical_json())
     data["alpha"] = 1e-3

@@ -31,10 +31,13 @@ from heavytail.spectral import (
     series_constants,
     tail_windows,
     time_change_rhs,
+    time_change_rhs_samples,
     window_mean,
     _rejection_collect,
     _tilt_accept,
 )
+from heavytail.verify import _tc_battery
+from heavytail.windows import WindowBatch
 
 R1 = max_norm(1)
 POS = RegVarDist(1.0, 1.0, Rademacher(1.0))  # positive sign innovations, alpha 1
@@ -393,6 +396,11 @@ def test_zero_draws_are_empty_and_leave_the_stream_alone():
         assert wb.values.shape == (0, 4, 1) and len(wb.origin) == 0
     tb = cluster_windows(base, 1, 1, 0, rng)
     assert len(tb) == 0 and tb.windows.values.shape == (0, 3, 1)
+    seq = LinearProcessSpectral(*_stacked_case("seqspace"))
+    wb = seq.sample(0, 1, 2, rng)
+    assert wb.coord is not None and len(wb) == 0 and len(wb.origin) == 0
+    assert wb.values.shape == (0, 4, 8) and wb.norms().shape == (0, 4)
+    assert time_change_rhs_samples(seq, lambda w: w.norm_at(-1), 1, 1, 0, rng).shape == (0,)
     assert rng.bit_generator.state == state
 
 
@@ -613,6 +621,9 @@ def test_stacked_sample_equals_per_lag_loop(case, back, fwd):
     wb = sampler.sample(4000, back, fwd, np.random.default_rng(41))
     want, picks = _sample_reference(sampler, 4000, back, fwd, np.random.default_rng(41))
     np.testing.assert_array_equal(wb.origin, picks)
+    # embedding families come in axis form, and their dense values are built on demand
+    assert (wb.coord is not None) == (fam.kind == "embedding")
+    assert (wb._values is None) == (fam.kind == "embedding")
     assert _bits(wb.values) == _bits(want)
     assert (wb._norms is not None) == (fam.kind == "embedding")
     assert _bits(wb.norms()) == _bits(sampler.space.norm(want))
@@ -656,8 +667,9 @@ def test_seeded_window_norms_equal_space_norm(codomain):
     fam = OperatorFamily(ops, R1, codomain, 1.1)
     sampler = LinearProcessSpectral(fam, RegVarDist(1.1, 2.5, Rademacher(0.5)))
     wb = sampler.sample(5000, 3, 4, np.random.default_rng(45))
-    assert wb._norms is not None
+    assert wb._norms is not None and wb.coord is not None
     assert _bits(wb.norms()) == _bits(codomain.norm(wb.values))
+    np.testing.assert_array_equal(wb.coord < 0, wb.norms() == 0)  # -1 marks a zero slot
     # window slots hold +-1 / ||e_j||; Pareto innovations exercise the formula
     z = sampler.base.sample(5000, np.random.default_rng(46))
     pos = np.arange(len(fam.lags))
@@ -720,3 +732,36 @@ def test_stacked_images_and_norms_match_apply():
             np.testing.assert_allclose(fam.accumulate(total, k, z), norms[:, ::-1][:, k],
                                        rtol=1e-12, atol=0)
         assert _row_rel_err(total, want.sum(axis=1)) <= 1e-12
+
+
+class _FixedBatch:
+    """A window sampler that returns one prepared batch."""
+
+    def __init__(self, wb, alpha):
+        self.wb, self.alpha, self.space = wb, alpha, wb.space
+
+    def sample(self, n, back, fwd, rng):
+        return self.wb
+
+
+@pytest.mark.parametrize("case", ["seqspace", "shared_embedding", "l1.5"])
+def test_time_change_rhs_axis_form_equals_dense(case):
+    if case == "l1.5":
+        ops = {n: EmbeddingOp(n % 8, 8) for n in range(10)}
+        fam = OperatorFamily(ops, R1, lp_norm(8, 1.5), 1.1)
+        base = RegVarDist(1.1, 1.0, Rademacher(0.5))
+    else:
+        fam, base = _stacked_case(case)
+    sampler = LinearProcessSpectral(fam, base, rng=np.random.default_rng(50))
+    wb = sampler.sample(6000, 0, 2, np.random.default_rng(51))
+    dense = WindowBatch(wb.values, 0, 2, wb.space, origin=wb.origin)
+    assert wb.coord is not None and dense.coord is None
+    assert np.any(wb.norm_at(1) == 0)  # windows past the family edge are in the batch
+    for label, f in _tc_battery(sampler.space, 1, 1, sampler.alpha):
+        got = time_change_rhs_samples(_FixedBatch(wb, sampler.alpha), f, 1, 1, 6000, None)
+        want = time_change_rhs_samples(_FixedBatch(dense, sampler.alpha), f, 1, 1, 6000, None)
+        assert _bits(got) == _bits(want), label
+    nz = wb.norm_at(1) > 0
+    shifted = wb.divided(nz, wb.norm_at(1)[nz], 1)
+    assert shifted.coord is not None and (shifted.back, shifted.fwd) == (1, 1)
+    assert _bits(shifted.norms()) == _bits(wb.space.norm(shifted.values))

@@ -66,17 +66,19 @@ def test_run_suite_all_on_iid():
 
 
 def test_worker_count_is_deterministic(monkeypatch):
-    # 20000 rows in chunks of 6000: three full chunks and a ragged one of 2000
+    # 20000 rows in chunks of 6000: three full chunks and a ragged one of 2000;
+    # seqspace's time-change suite runs on axis-form window batches
     monkeypatch.setattr(verify, "_MC_CHUNK", 6000)
-    cfg = load_config("ma2", FAST)
-    for suite, kwargs in (("time-change", {}), ("mixture", {}),
-                          ("empirical-vs-closed", {"path_length": 200_000}),
-                          ("limit-measure", {})):
+    for preset, suite, kwargs in (("ma2", "time-change", {}), ("ma2", "mixture", {}),
+                                  ("ma2", "empirical-vs-closed", {"path_length": 200_000}),
+                                  ("ma2", "limit-measure", {}),
+                                  ("seqspace", "time-change", {})):
+        cfg = load_config(preset, FAST)
         reports = {
             report_json(build_report(run_suite(cfg, suite, workers=w, **kwargs), cfg, suite))
             for w in (1, 2, 3)
         }
-        assert len(reports) == 1, suite
+        assert len(reports) == 1, (preset, suite)
 
 
 def test_mc_values_chunk_sizes():
