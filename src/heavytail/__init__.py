@@ -41,7 +41,6 @@ from .spectral import (  # noqa: F401
     series_constants,
     tail_windows,
     time_change_rhs,
-    window_mean,
 )
 from .summaries import (  # noqa: F401
     Event,
@@ -66,7 +65,6 @@ from .estimate import (  # noqa: F401
     BigJumpResult,
     EstimateResult,
     ExceedanceSet,
-    big_jump_check,
     big_jump_paired,
     blocks_extremal_index,
     collect_exceedances,

@@ -81,11 +81,15 @@ def cmd_simulate(args):
 
 
 def cmd_spectral(args):
+    back, fwd = args.window
+    n = args.n
+    if min(back, fwd) < 0:
+        raise ConfigError(f"--window S T must be nonnegative, got {back} {fwd}")
+    if n < 0:
+        raise ConfigError(f"--n must be at least 0, got {n}")
     cfg = _load(args)
-    back, fwd = (int(x) for x in args.window)
     sampler = cfg.window_sampler()
     rng = np.random.default_rng([cfg.seed, 0x5B])
-    n = int(args.n)
     d = sampler.space.dim
     header = "sample,offset," + ",".join(f"x{j}" for j in range(d)) + ",origin"
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -118,7 +122,7 @@ def cmd_spectral(args):
 def cmd_summarize(args):
     cfg = _load(args)
     rng = np.random.default_rng([cfg.seed, 0x50])
-    n = int(args.n) if args.n is not None else cfg.n_samples
+    n = args.n if args.n is not None else cfg.n_samples
     result: dict
     if args.stat == "ma-specials":
         rec = cfg.ma_specials()
@@ -136,6 +140,8 @@ def cmd_summarize(args):
             "method": "closed_form",
         }
     else:
+        if n < 2:  # a standard error needs two samples
+            raise ConfigError(f"summarize needs --n (or mc.n_samples) at least 2, got {n}")
         sampler = cfg.window_sampler()
         first = None  # dual mode pairs with the first coordinate
         if args.mode == "dual":
@@ -143,7 +149,11 @@ def cmd_summarize(args):
         if args.stat == "tail-dep":
             res = tail_dependence(sampler, args.lag, b=first, mode=args.mode, n=n, rng=rng)
         elif args.stat == "joint-survival":
-            idx = [int(x) for x in args.indices.split(",")]
+            try:
+                idx = [int(x) for x in args.indices.split(",")]
+            except ValueError:
+                raise ConfigError(f"--indices must be comma-separated integers, "
+                                  f"got {args.indices!r}") from None
             if first is not None:
                 res = joint_survival_limit(sampler, idx, functionals=[first] * len(idx),
                                            n=n, rng=rng)
@@ -152,6 +162,8 @@ def cmd_summarize(args):
                                            n=n, rng=rng)
         elif args.stat == "extremal-index":
             horizon = args.horizon
+            if horizon is not None and horizon < 0:
+                raise ConfigError(f"--horizon must be at least 0, got {horizon}")
             if horizon is None and sampler.forward_extent is None:
                 horizon = cfg.ar1_horizon
             res = extremal_index(sampler, mode=args.mode, b=first, m_horizon=horizon,
@@ -166,7 +178,7 @@ def cmd_summarize(args):
             "stat": args.stat,
             "value": res.value,
             "stderr": res.stderr,
-            "method": res.method,
+            "method": "monte_carlo",
             "inputs": res.inputs,
         }
     result["seed"] = cfg.seed
@@ -216,7 +228,7 @@ def build_parser():
     p = sub.add_parser("spectral", help="sample spectral windows to CSV")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--window", nargs=2, metavar=("S", "T"), required=True)
+    p.add_argument("--window", type=int, nargs=2, metavar=("S", "T"), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spectral)
 

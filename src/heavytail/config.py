@@ -26,6 +26,7 @@ from .spaces import (
     ScalarOp,
     ShiftPowerOp,
     identity_op,
+    lp_norm,
     max_norm,
     weighted_l1_norm,
 )
@@ -354,7 +355,7 @@ class ModelConfig:
         if norm["kind"] == "max":
             return max_norm(norm["dim"])
         if norm["kind"] == "lp":
-            return NormSpec("lp", norm["dim"], p=float(norm["p"]))
+            return lp_norm(norm["dim"], norm["p"])
         if "weights" in norm:
             return weighted_l1_norm(norm["weights"])
         w = [norm["decay"] ** n for n in range(norm["dim"])]
@@ -413,11 +414,12 @@ class ModelConfig:
     def ar1_horizon(self):
         return int(self.data["model"].get("horizon", 64))
 
-    def window_sampler(self, rng=None):
-        """Spectral-window sampler for the configured model.  Without ``rng``,
-        Monte Carlo tail constants draw from stream 0xC0 of the seed."""
+    def window_sampler(self):
+        """Spectral-window sampler for the configured model.  Monte Carlo tail
+        constants draw from stream 0xC0 of the seed."""
         innov = self.innovation()
-        if rng is None and innov.angle.atoms() is None:  # atoms give closed forms
+        rng = None
+        if innov.angle.atoms() is None:  # atoms give closed forms
             rng = np.random.default_rng([self.seed, 0xC0])
         if self.model_type == "ar1":
             T = _build_operator(self.data["model"]["operator"], self.space().dim)

@@ -1,10 +1,11 @@
 """Empirical counterparts of the limit functionals, computed on sample paths.
 
 Conditional-on-exceedance spectral statistics, the empirical tail
-dependence and extremal index, the Hill tail-index diagnostic, and the
-single-big-jump checks for finite operator sums.  Overlapping exceedance
-windows are kept (dropping them biases cluster functionals) and their
-serial dependence is absorbed into block-bootstrap standard errors.
+dependence of the first coordinate and the extremal index, the Hill
+tail-index diagnostic, and the paired single-big-jump checks for finite
+operator sums.  Overlapping exceedance windows are kept (dropping them
+biases cluster functionals) and their serial dependence is absorbed into
+block-bootstrap standard errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import DimensionError, DomainError
+from .spaces import DomainError
 from .spectral import series_constants
 from .windows import WindowBatch
 
@@ -27,7 +28,6 @@ __all__ = [
     "blocks_extremal_index",
     "hill_alpha",
     "BigJumpResult",
-    "big_jump_check",
     "big_jump_paired",
     "threshold_sweep",
 ]
@@ -36,6 +36,8 @@ _BOOT_SEED = 0xE57
 _N_BOOT = 200
 # Time steps per bootstrap block of the empirical tail dependence.
 _TD_BLOCK_LEN = 100
+# Draws per big_jump_paired chunk: the unit of its innovation blocks.
+_BIG_JUMP_CHUNK = 1 << 20
 # Rows per block when big_jump_paired norms a chunk's running sum.
 _NORM_BLOCK_ROWS = 1 << 16
 
@@ -49,8 +51,6 @@ class EstimateResult:
     value: float
     stderr: float
     n_effective: int
-    threshold: float | None
-    notes: dict
 
     def __post_init__(self):
         if self.n_effective <= 0:
@@ -63,8 +63,6 @@ class ExceedanceSet:
 
     windows: WindowBatch  # values X_{t+j} / ||X_t||, j in [-back, fwd]
     anchors: np.ndarray  # 0-based anchor times into the path
-    u: float
-    path_length: int
 
     def __len__(self):
         return len(self.anchors)
@@ -85,7 +83,7 @@ def collect_exceedances(path, u, back, fwd):
     rows = anchors[:, None] + offsets[None, :]
     values = path.values[rows] / norms[anchors, None, None]
     wb = WindowBatch(values, back, fwd, path.space)
-    return ExceedanceSet(wb, anchors, float(u), len(path))
+    return ExceedanceSet(wb, anchors)
 
 
 def _block_bootstrap_se(anchor_times, per_anchor, block_len, n_boot, rng, stat):
@@ -120,31 +118,17 @@ def empirical_spectral_stat(exc, f, rng=None):
     )
     if not np.isfinite(se):
         se = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-    return EstimateResult(
-        float(values.mean()), se, len(values), exc.u,
-        {"stat": "spectral", "window": (exc.windows.back, exc.windows.fwd)},
-    )
+    return EstimateResult(float(values.mean()), se, len(values))
 
 
-def empirical_tail_dependence(path, u, h, mode="functional", b=None, rng=None):
-    """Empirical Pr(score at lag h exceeds u | score at 0 exceeds u).
+def empirical_tail_dependence(path, u, h, rng=None):
+    """Empirical Pr(X_h,0 > u | X_0,0 > u) of the first coordinate.
 
-    ``mode`` "functional" scores by a linear pairing (default: first
-    coordinate), "norm" by the path norm.  Ratio of joint to marginal
-    exceedance counts, block-bootstrap standard error over blocks of
-    ``_TD_BLOCK_LEN`` time steps.
+    Ratio of joint to marginal exceedance counts, block-bootstrap standard
+    error over blocks of ``_TD_BLOCK_LEN`` time steps.
     """
     h = int(h)
-    if mode == "norm":
-        score = path.norms()
-    else:
-        coeffs = np.zeros(path.dim)
-        coeffs[0] = 1.0
-        if b is not None:
-            coeffs = np.asarray(b, dtype=float)
-            if coeffs.shape != (path.dim,):
-                raise DimensionError("functional length must match path dimension")
-        score = path.values @ coeffs
+    score = path.values[:, 0]
     lo, hi = max(0, -h), len(path) - max(0, h)
     base = score[lo:hi]
     lagged = score[lo + h : hi + h]
@@ -162,9 +146,7 @@ def empirical_tail_dependence(path, u, h, mode="functional", b=None, rng=None):
     value = float(joint.sum() / marg.sum())
     if not np.isfinite(se):
         se = float(np.sqrt(value * (1 - value) / marg.sum()))
-    return EstimateResult(
-        value, se, int(marg.sum()), float(u), {"stat": "tail_dependence", "h": h, "mode": mode}
-    )
+    return EstimateResult(value, se, int(marg.sum()))
 
 
 def blocks_extremal_index(path, u, block_len, method="blocks", runs_gap=None, rng=None):
@@ -191,8 +173,7 @@ def blocks_extremal_index(path, u, block_len, method="blocks", runs_gap=None, rn
         starts = exceed[: len(path) - gap] & ok
         value = float(starts.sum() / total)
         se = float(np.sqrt(value * (1 - value) / total))
-        return EstimateResult(value, se, total, float(u),
-                              {"stat": "extremal_index", "method": "runs", "gap": gap})
+        return EstimateResult(value, se, total)
     nb = len(path) // block_len
     trimmed = exceed[: nb * block_len].reshape(nb, block_len)
     counts = trimmed.sum(axis=1)
@@ -204,8 +185,7 @@ def blocks_extremal_index(path, u, block_len, method="blocks", runs_gap=None, rn
         c = counts[pick].sum()
         reps[r] = hits[pick].sum() / c if c > 0 else np.nan
     se = float(np.nanstd(reps, ddof=1))
-    return EstimateResult(value, se, total, float(u),
-                          {"stat": "extremal_index", "method": "blocks", "block_len": block_len})
+    return EstimateResult(value, se, total)
 
 
 def hill_alpha(path, k):
@@ -225,7 +205,7 @@ def hill_alpha(path, k):
     if h <= 0:
         raise EstimationError("degenerate (tied) order statistics in the Hill window")
     value = 1.0 / h
-    return EstimateResult(value, value / np.sqrt(k), int(k), float(ref), {"stat": "hill"})
+    return EstimateResult(value, value / np.sqrt(k), int(k))
 
 
 @dataclass(frozen=True)
@@ -263,13 +243,14 @@ def _prefetched(draw, sizes, workers):
         yield pending.result()
 
 
-def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20, workers=1):
+def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     """Single-big-jump checks at several thresholds from one shared stream.
 
     Plain Monte Carlo (no importance sampling): per draw, one innovation per
     family lag; the same draws feed every threshold so comparisons across
     thresholds are paired.  Innovation blocks are drawn from ``rng`` as one
-    sequential stream, chunk by chunk and lag by lag.  ``workers > 1`` only
+    sequential stream, chunk by chunk of ``_BIG_JUMP_CHUNK`` draws (the last
+    one ragged) and lag by lag.  ``workers > 1`` only
     overlaps drawing the next block with counting the current one, so the
     results do not depend on ``workers``.  ``OperatorFamily.accumulate``
     adds each lag's image to the running sum and returns its norm (an
@@ -282,6 +263,7 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20, workers=1):
     consts = series_constants(fam, innov, n_mc=min(n_mc, 100_000), rng=rng)
     nx = len(xs)
     cnt_sum_norm, cnt_norm_sum, disc = np.zeros((3, nx))
+    chunk = _BIG_JUMP_CHUNK
     sizes = [min(chunk, n_mc - done) for done in range(0, n_mc, chunk)]
     # counts of at most len(lags), signed so that hit - count cannot wrap
     count_dtype = np.min_scalar_type(-len(fam.lags) - 1)
@@ -326,11 +308,6 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, chunk=1 << 20, workers=1):
             )
         )
     return results
-
-
-def big_jump_check(fam, innov, x, n_mc, rng, chunk=1 << 20, workers=1):
-    """Single-threshold convenience wrapper around ``big_jump_paired``."""
-    return big_jump_paired(fam, innov, [x], n_mc, rng, chunk=chunk, workers=workers)[0]
 
 
 def threshold_sweep(path, stat, quantiles=(0.99, 0.995, 0.999, 0.9995)):

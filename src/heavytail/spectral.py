@@ -59,7 +59,6 @@ __all__ = [
     "TransformedSpectral",
     "tail_windows",
     "cluster_windows",
-    "window_mean",
     "time_change_rhs",
     "time_change_rhs_samples",
     "limit_measure_mass",
@@ -437,10 +436,11 @@ class AR1Spectral(LinearProcessSpectral):
 
     This is the linear-process sampler over the power family T_n = T^n
     (0 <= n <= ``horizon``) of a ``ContractionCertificate``, which requires
-    ||T^m|| < 1 for some m <= horizon; the discarded mixture mass is at most
-    ``tail_mass_bound``.  Forward lags past the horizon use T^n itself, so
-    backward slots below the picked lag are exactly zero and the forward
-    recursion Theta_{t+1} = T Theta_t holds on every sample.
+    ||T^m|| < 1 for some m <= horizon; the mixture mass of lags past the
+    horizon, at most ``cert.tail(horizon, alpha)``, is dropped.  Forward lags
+    past the horizon use T^n itself, so backward slots below the picked lag
+    are exactly zero and the forward recursion Theta_{t+1} = T Theta_t holds
+    on every sample.
     """
 
     def __init__(self, T, base, horizon, **kwargs):
@@ -449,7 +449,6 @@ class AR1Spectral(LinearProcessSpectral):
         super().__init__(OperatorFamily.powers(cert, base.alpha), base, **kwargs)
         self.T = T
         self.horizon = cert.horizon
-        self.tail_mass_bound = cert.tail(cert.horizon, base.alpha)
         self.forward_extent = None  # geometric decay, never exactly zero in general
 
     def _window_family(self, top):
@@ -538,12 +537,6 @@ def cluster_windows(sampler, lookback, fwd, n, rng):
         n, propose, rng, DEFAULT_MAX_TRIALS, "cluster window sampler"
     )
     return TailBatch(y, WindowBatch(values, lookback, fwd, sampler.space, origin=origin))
-
-
-def window_mean(sampler, f, back, fwd, n, rng):
-    """Monte Carlo estimate (mean, stderr) of E f(Theta_{-back}, ..., Theta_{fwd})."""
-    wb = sampler.sample(n, back, fwd, rng)
-    return _mean_with_se(np.asarray(f(wb), dtype=float))
 
 
 def _check_vanishing_on_zero_lead(f, back, fwd, space):

@@ -36,7 +36,6 @@ class LinearFunctional:
     """Coordinate pairing x -> sum(coeffs * x)."""
 
     coeffs: tuple
-    label: str = ""
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
@@ -60,16 +59,12 @@ class LinearFunctional:
 
 @dataclass(frozen=True)
 class LimitFunctionalResult:
+    """Monte Carlo value of a limit functional, its standard error (0 when the
+    integrand is degenerate) and the inputs that produced it."""
+
     value: float
     stderr: float
-    method: str  # "closed_form" | "monte_carlo"
     inputs: dict
-
-    def __post_init__(self):
-        # Closed forms carry no sampling error.  (A Monte Carlo run may also
-        # report stderr 0 when the integrand is degenerate.)
-        if self.method == "closed_form" and self.stderr != 0.0:
-            raise DomainError("closed-form results must have zero stderr")
 
 
 @dataclass(frozen=True)
@@ -110,7 +105,7 @@ def _ratio_with_se(num, den):
 
 
 def joint_survival_limit(sampler, index_set, functionals=None, norm_weights=None,
-                         n=100_000, rng=None):
+                         n=100_000, *, rng):
     """Limit of joint survival probabilities relative to the marginal tail.
 
     Dual mode (``functionals``): E min_{i in I} (b_i . Theta_i)_+^alpha for
@@ -146,12 +141,11 @@ def joint_survival_limit(sampler, index_set, functionals=None, norm_weights=None
     values = np.min(np.column_stack(cols), axis=1)
     return LimitFunctionalResult(
         *_mean_with_se(values),
-        "monte_carlo",
         {"stat": "joint_survival", "mode": mode, "indices": idx, "alpha": alpha, "n": n},
     )
 
 
-def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, rng=None):
+def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, *, rng):
     """Coefficient of upper tail dependence at lag h.
 
     Dual mode: E min{(b.Theta_0)_+^alpha, (b.Theta_h)_+^alpha} / E (b.Theta_0)_+^alpha.
@@ -163,7 +157,7 @@ def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, rng=None):
     inputs = {"stat": "tail_dependence", "mode": mode, "h": h, "alpha": alpha, "n": n}
     if mode == "norm":
         values = np.minimum(wb.norm_at(h) ** alpha, 1.0)
-        return LimitFunctionalResult(*_mean_with_se(values), "monte_carlo", inputs)
+        return LimitFunctionalResult(*_mean_with_se(values), inputs)
     if b is None or b.is_zero():
         raise DomainError("dual mode needs a nonzero functional")
     x0 = np.maximum(b.pair(wb.slot(0)), 0.0) ** alpha
@@ -174,10 +168,10 @@ def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, rng=None):
             "tail dependence undefined: denominator not distinguishable from zero"
         )
     value, se = _ratio_with_se(np.minimum(x0, xh), x0)
-    return LimitFunctionalResult(value, se, "monte_carlo", inputs)
+    return LimitFunctionalResult(value, se, inputs)
 
 
-def extremogram_limit(sampler, event_a, event_b, h, n=100_000, rng=None):
+def extremogram_limit(sampler, event_a, event_b, h, n=100_000, *, rng):
     """Extremogram value rho_{A,B}(h) = Pr(Y_0 in A, Y_h in B) over tail windows.
 
     ``event_a`` must be contained in {||x|| > 1}: the conditioning event of
@@ -192,12 +186,10 @@ def extremogram_limit(sampler, event_a, event_b, h, n=100_000, rng=None):
     )
     p = float(hits.mean())
     se = float(np.sqrt(p * (1.0 - p) / n))
-    return LimitFunctionalResult(
-        p, se, "monte_carlo", {"stat": "extremogram", "h": h, "n": n}
-    )
+    return LimitFunctionalResult(p, se, {"stat": "extremogram", "h": h, "n": n})
 
 
-def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000, rng=None):
+def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000, *, rng):
     """Extremal index via the sup-difference form (numerically stable, in [0,1]).
 
     Norm mode: E[ sup_{0<=t<=m} ||Theta_t||^alpha - sup_{1<=t<=m} ||Theta_t||^alpha ].
@@ -221,7 +213,7 @@ def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000, rng=
         future = wb.norms()[:, 1:] ** alpha
         sup1 = np.max(future, axis=1, initial=0.0)  # sup {} = 0 at m = 0
         values = np.maximum(1.0, sup1) - sup1
-        return LimitFunctionalResult(*_mean_with_se(values), "monte_carlo", inputs)
+        return LimitFunctionalResult(*_mean_with_se(values), inputs)
     if b is None or b.is_zero():
         raise DomainError("dual mode needs a nonzero functional")
     scores = np.maximum(b.pair(wb.values), 0.0) ** alpha  # (n, m+1)
@@ -231,7 +223,7 @@ def extremal_index(sampler, mode="norm", b=None, m_horizon=None, n=100_000, rng=
     if den.mean() <= 0:
         raise DomainError("extremal index undefined: denominator vanishes")
     value, se = _ratio_with_se(sup0 - sup1, den)
-    return LimitFunctionalResult(value, se, "monte_carlo", inputs)
+    return LimitFunctionalResult(value, se, inputs)
 
 
 def isometry_family_extremal_index(norms, alpha):

@@ -1,10 +1,11 @@
 """Verification suites: Monte Carlo checks of the limit identities at desk scale.
 
-Each suite takes a run config and emits named checks (estimate, target,
-stderr, tolerance rule, pass/fail).  Monte Carlo work is cut into chunks of
-a fixed size, each drawing from its own stream derived from the master seed
-by counter, and joined in chunk order; ``workers`` threads only schedule the
-chunks, so a report is a deterministic function of (config, seed).
+Each suite is ``suite(cfg, workers)``: it reads every sample size from the
+config and emits named checks (estimate, target, stderr, tolerance rule,
+pass/fail).  Monte Carlo work is cut into chunks of a fixed size, each
+drawing from its own stream derived from the master seed by counter, and
+joined in chunk order; ``workers`` threads only schedule the chunks, so a
+report is a deterministic function of (config, seed).
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ _SPECTRAL_STAT_FLOOR = 0.01
 
 # Rows per Monte Carlo chunk: the unit of randomness of ``_mc_values``.
 _MC_CHUNK = 1 << 15
+
+# Least number of big-jump draws: the threshold sits at the 1e-4 marginal
+# tail, so this keeps the tail-ratio counts well inside their 10% band.
+_BIG_JUMP_DRAWS = 4 * 10**6
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,12 @@ def _tc_battery(space, s, t, alpha):
     ]
 
 
-def suite_time_change(cfg, workers=1, n=None):
+def suite_time_change(cfg, workers=1):
     """Backward-window expectations against their forward-window tilted form,
     plus the degenerate-past identity Pr(Theta_{-s} != 0) = E ||Theta_s||^alpha."""
     sampler = cfg.window_sampler()
     alpha = cfg.alpha
-    n = n or cfg.n_samples
+    n = cfg.n_samples
     tags = itertools.count(1000)
     checks = []
     s, t = 1, 1
@@ -169,11 +174,11 @@ def _canonical_tilt_example(alpha):
     return space, points, weights, operator, images / norms[:, None], tilted
 
 
-def suite_mixture(cfg, workers=1, n=None):
+def suite_mixture(cfg, workers=1):
     """Mixture origin frequencies against p_n, and the rejection pushforward
     against an exact conditional-tilt oracle on a discrete angle law."""
     sampler = cfg.window_sampler()
-    n = n or cfg.n_samples
+    n = cfg.n_samples
     tags = itertools.count(2000)
     checks = []
 
@@ -214,15 +219,14 @@ def suite_mixture(cfg, workers=1, n=None):
 # big-jump suite
 
 
-def suite_big_jump(cfg, workers=1, n=None):
+def suite_big_jump(cfg, workers=1):
     """Tail ratios of finite operator sums against sum(c_n), and the paired
     single-big-jump discrepancy shrinking with the threshold.
 
-    The threshold sits at the 1e-4 marginal tail, so the default sample
-    size is large enough to put the relative noise of the tail-ratio
-    counts well inside the 10% tolerance.
+    The threshold sits at the 1e-4 marginal tail; the draw count is the
+    config's ``n_samples``, raised to at least ``_BIG_JUMP_DRAWS``.
     """
-    n = n or max(cfg.n_samples, 4 * 10**6)
+    n = max(cfg.n_samples, _BIG_JUMP_DRAWS)
     innov = cfg.innovation()
     fam = cfg.family()
     x = cfg.data["innovation"]["scale"] * (1e-4) ** (-1.0 / cfg.alpha)
@@ -267,11 +271,12 @@ def _closed_tail_dep(cfg, h):
     return None
 
 
-def suite_empirical(cfg, workers=1, n=None, path_length=None):
+def suite_empirical(cfg, workers=1):
     """Path estimators against closed forms / window-sampler targets.
 
-    The threshold is the ``_EMPIRICAL_QUANTILE`` quantile of the path norms;
-    extremal-index blocks are at least 50 steps and twice the family extent.
+    The path has the config's length and the threshold is the
+    ``_EMPIRICAL_QUANTILE`` quantile of its norms; extremal-index blocks are
+    at least 50 steps and twice the family extent.
 
     Conditional spectral statistics at a finite threshold carry a small
     bias that does not shrink with the path length (the threshold is a
@@ -279,8 +284,8 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None):
     it on top of the 3-sigma band.  Models whose window statistics are
     near-deterministic (AR(1), lagged sequence space) need it.
     """
-    n = n or cfg.n_samples
-    path = cfg.simulate(length=path_length)
+    n = cfg.n_samples
+    path = cfg.simulate()
     u = float(np.quantile(path.norms(), _EMPIRICAL_QUANTILE))
     block_len = max(50, 2 * int(path.meta.get("family_extent", 0) or 1))
     checks = []
@@ -291,7 +296,7 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None):
     alpha = cfg.alpha
 
     if path.dim == 1:
-        est = empirical_tail_dependence(path, u, 1, mode="functional", rng=boot_rng)
+        est = empirical_tail_dependence(path, u, 1, rng=boot_rng)
         target = _closed_tail_dep(cfg, 1)
         if target is not None:
             checks.append(_check_abs("empirical_tail_dep[h=1]", est.value, target, 0.05))
@@ -358,11 +363,11 @@ def suite_empirical(cfg, workers=1, n=None, path_length=None):
 # limit-measure suite
 
 
-def suite_limit_measure(cfg, workers=1, n=None):
+def suite_limit_measure(cfg, workers=1):
     """Single-lag masses r^(-alpha) and two-lag homogeneity of the limit measure."""
     sampler = cfg.window_sampler()
     alpha = cfg.alpha
-    n = n or cfg.n_samples
+    n = cfg.n_samples
     tags = itertools.count(5000)
     checks = []
     for r in (1.0, 2.0, 4.0):
@@ -397,17 +402,16 @@ SUITES = {
 }
 
 
-def run_suite(cfg, suite, workers=1, **kwargs):
+def run_suite(cfg, suite, workers=1):
+    """Checks of one suite, or of every suite in ``SUITES`` order for "all".
+
+    Every size comes from the config; ``workers`` only schedules.
+    """
     if suite == "all":
-        # each suite derives its own scale from the config; a blanket n
-        # would be wrong for the big-jump counts
-        checks = []
-        for name in SUITES:
-            checks.extend(SUITES[name](cfg, workers=workers))
-        return checks
+        return [c for name in SUITES for c in SUITES[name](cfg, workers=workers)]
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    return SUITES[suite](cfg, workers=workers, **kwargs)
+    return SUITES[suite](cfg, workers=workers)
 
 
 def build_report(checks, cfg, suite):

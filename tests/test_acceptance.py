@@ -46,8 +46,8 @@ def test_criterion_1_time_change():
     checks = []
     for preset in ("ma2", "ma3_positive", "ar1_scalar", "seqspace"):
         for alpha in (1.0, 2.0):
-            cfg = load_config(preset, {"alpha": alpha})
-            for c in suite_time_change(cfg, n=N_WINDOWS):
+            cfg = load_config(preset, {"alpha": alpha, "mc": {"n_samples": N_WINDOWS}})
+            for c in suite_time_change(cfg):
                 checks.append(
                     type(c)(f"{preset}/a={alpha:g}/{c.name}", c.estimate, c.target,
                             c.stderr, c.tolerance_rule, c.passed)
@@ -56,31 +56,32 @@ def test_criterion_1_time_change():
 
 
 def test_criterion_2_mixture_representation():
-    cfg = load_config("ma3_positive", {"alpha": 2.0})
+    cfg = load_config("ma3_positive", {"alpha": 2.0, "mc": {"n_samples": 1_000_000}})
     # pinned mixture probabilities: c_n = a_n^alpha -> (1, 0.64, 0.36)/2
     sampler = cfg.window_sampler()
     np.testing.assert_allclose(sampler.consts.p, np.array([1.0, 0.64, 0.36]) / 2.0)
-    checks = suite_mixture(cfg, n=1_000_000)
+    checks = suite_mixture(cfg)
     _report("criterion 2: mixture representation and rejection tilt", checks)
 
 
 def test_criterion_3_empirical_vs_closed(monkeypatch):
     checks = []
     # (a) + (c): two-term positive moving average, alpha 1, strict 3-sigma
-    cfg = load_config("ma2", {"alpha": 1.0})
+    long_path = {"path": {"length": PATH_LENGTH}}
+    cfg = load_config("ma2", {"alpha": 1.0, **long_path})
     with monkeypatch.context() as m:
         m.setattr(verify, "_SPECTRAL_STAT_FLOOR", 0.0)
-        for c in suite_empirical(cfg, path_length=PATH_LENGTH):
+        for c in suite_empirical(cfg):
             checks.append(type(c)("ma2/a=1/" + c.name, c.estimate, c.target, c.stderr,
                                   c.tolerance_rule, c.passed))
     # (b): same model at alpha 2, blocks extremal index 0.5 +- 0.05
-    cfg2 = load_config("ma2", {"alpha": 2.0})
-    for c in suite_empirical(cfg2, path_length=PATH_LENGTH):
+    cfg2 = load_config("ma2", {"alpha": 2.0, **long_path})
+    for c in suite_empirical(cfg2):
         checks.append(type(c)("ma2/a=2/" + c.name, c.estimate, c.target, c.stderr,
                               c.tolerance_rule, c.passed))
     # (d): scalar AR(1) with c = 0.5, extremal index 0.5 +- 0.05
-    cfg3 = load_config("ar1_scalar", {"alpha": 1.0})
-    for c in suite_empirical(cfg3, path_length=PATH_LENGTH):
+    cfg3 = load_config("ar1_scalar", {"alpha": 1.0, **long_path})
+    for c in suite_empirical(cfg3):
         checks.append(type(c)("ar1/a=1/" + c.name, c.estimate, c.target, c.stderr,
                               c.tolerance_rule, c.passed))
     _report("criterion 3: empirical estimators vs closed forms", checks)
@@ -109,8 +110,8 @@ def test_criterion_4_single_big_jump():
 
 
 def test_criterion_5_limit_measure():
-    cfg = load_config("ma2")
-    checks = suite_limit_measure(cfg, n=N_WINDOWS)
+    cfg = load_config("ma2", {"mc": {"n_samples": N_WINDOWS}})
+    checks = suite_limit_measure(cfg)
     _report("criterion 5: limit-measure masses and homogeneity", checks)
 
 

@@ -81,7 +81,7 @@ def test_general_operator_family_config():
     data["path"]["burn_in"] = 2
     data["path"]["truncation"] = 2
     cfg = load_config(data)
-    sampler = cfg.window_sampler(rng=np.random.default_rng(2))
+    sampler = cfg.window_sampler()
     wb = sampler.sample(2000, 1, 1, np.random.default_rng(3))
     assert np.all(np.abs(wb.norm_at(0) - 1.0) < 1e-9)
     path = cfg.simulate(length=500)
@@ -130,6 +130,30 @@ def test_cli_unknown_stat_is_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["summarize", "--config", "iid", "--stat", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["spectral", "--window", "a", "1", "--n", "3"], "--window"),
+    (["spectral", "--window", "-1", "1", "--n", "3"], "--window"),
+    (["spectral", "--window", "1", "-2", "--n", "3"], "--window"),
+    (["spectral", "--window", "1", "1", "--n", "-5"], "--n"),
+    (["summarize", "--stat", "joint-survival", "--indices", "0,x"], "--indices"),
+    (["summarize", "--stat", "tail-dep", "--n", "0"], "--n"),
+    (["summarize", "--stat", "tail-dep", "--n", "1"], "--n"),
+    (["summarize", "--stat", "extremal-index", "--horizon", "-3", "--config", "ar1_scalar"],
+     "--horizon"),
+])
+def test_cli_bad_arguments_are_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.out"
+    try:
+        # ma2 unless the case passes its own --config, which parses later and wins
+        code = main([argv[0], "--config", "ma2", *argv[1:], "--out", str(out)])
+    except SystemExit as exc:  # rejected by the argument parser
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_spectral_iid_window(tmp_path):

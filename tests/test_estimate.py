@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heavytail import estimate
 from heavytail.estimate import (
     BigJumpResult,
     EstimationError,
-    big_jump_check,
     big_jump_paired,
     blocks_extremal_index,
     collect_exceedances,
@@ -206,7 +206,7 @@ def _pareto1_pair_tail(x):
 
 def test_big_jump_identity_family():
     fam = family_from_coeffs([1.0], 1.0, R1)
-    res = big_jump_check(fam, POS1, 100.0, 10**6, np.random.default_rng(18))
+    res = big_jump_paired(fam, POS1, [100.0], 10**6, np.random.default_rng(18))[0]
     assert res.target == 1.0
     assert abs(res.ratio_sum_norm - 1.0) < 3 * res.stderr_sum_norm
     assert abs(res.ratio_norm_sum - 1.0) < 3 * res.stderr_norm_sum
@@ -220,7 +220,7 @@ def test_big_jump_two_terms_matches_exact_convolution():
     closed = 2.0 / x + 2.0 * np.log(x - 1.0) / x**2
     assert oracle == pytest.approx(closed, rel=1e-9)
     fam = family_from_coeffs([1.0, 1.0], 1.0, R1)
-    res = big_jump_check(fam, POS1, x, 10**6, np.random.default_rng(19))
+    res = big_jump_paired(fam, POS1, [x], 10**6, np.random.default_rng(19))[0]
     target_ratio = oracle / POS1.tail_prob(x)
     assert abs(res.ratio_sum_norm - target_ratio) < 3 * res.stderr_sum_norm
     assert res.target == 2.0
@@ -229,7 +229,7 @@ def test_big_jump_two_terms_matches_exact_convolution():
 def test_big_jump_scaled_family_target():
     fam = family_from_coeffs([1.0, 0.5], 2.0, R1)
     innov = RegVarDist(2.0, 1.0, Rademacher(1.0))
-    res = big_jump_check(fam, innov, 50.0, 100_000, np.random.default_rng(20))
+    res = big_jump_paired(fam, innov, [50.0], 100_000, np.random.default_rng(20))[0]
     assert res.target == pytest.approx(1.25)  # 1 + 0.5^2
 
 
@@ -299,7 +299,7 @@ def _dense_family():
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding", "many_lags"])
-def test_big_jump_matches_matrix_reference(case, workers):
+def test_big_jump_matches_matrix_reference(case, workers, monkeypatch):
     # chunk 4096 with n_mc = 3.5 chunks exercises a ragged last chunk
     if case == "scalar":
         fam = family_from_coeffs([1.0, 0.5], 2.0, R1)
@@ -323,13 +323,13 @@ def test_big_jump_matches_matrix_reference(case, workers):
     else:
         fam, innov, xs = _dense_family()
     n_mc, chunk = 4 * 4096 - 2048, 4096
-    got = big_jump_paired(fam, innov, xs, n_mc, np.random.default_rng(23),
-                          chunk=chunk, workers=workers)
+    monkeypatch.setattr(estimate, "_BIG_JUMP_CHUNK", chunk)
+    got = big_jump_paired(fam, innov, xs, n_mc, np.random.default_rng(23), workers=workers)
     want = _big_jump_reference(fam, innov, xs, n_mc, np.random.default_rng(23), chunk)
     assert got == want
     assert all(r.discrepancy > 0 for r in got[:2])
-    single = big_jump_check(fam, innov, xs[0], n_mc, np.random.default_rng(23),
-                            chunk=chunk, workers=workers)
+    single = big_jump_paired(fam, innov, xs[:1], n_mc, np.random.default_rng(23),
+                             workers=workers)[0]
     assert single == _big_jump_reference(fam, innov, xs[:1], n_mc,
                                          np.random.default_rng(23), chunk)[0]
 
@@ -337,4 +337,4 @@ def test_big_jump_matches_matrix_reference(case, workers):
 def test_big_jump_threshold_below_scale_rejected():
     fam = family_from_coeffs([1.0], 1.0, R1)
     with pytest.raises(DomainError):
-        big_jump_check(fam, POS1, 0.5, 1000, np.random.default_rng(22))
+        big_jump_paired(fam, POS1, [0.5], 1000, np.random.default_rng(22))

@@ -34,19 +34,21 @@ def test_mixture_suite_all_presets(preset):
 
 
 @pytest.mark.parametrize("preset", ("iid", "ma2", "ma3_positive", "seqspace"))
-def test_big_jump_suite_finite_presets(preset):
+def test_big_jump_suite_finite_presets(preset, monkeypatch):
+    # 1e6 draws: max(n_samples, _BIG_JUMP_DRAWS) with the floor lowered
+    monkeypatch.setattr(verify, "_BIG_JUMP_DRAWS", 10**6)
     cfg = load_config(preset, FAST)
-    checks = suite_big_jump(cfg, n=10**6, workers=1)
+    checks = suite_big_jump(cfg, workers=1)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
-    assert suite_big_jump(cfg, n=10**6, workers=2) == checks
+    assert suite_big_jump(cfg, workers=2) == checks
 
 
 @pytest.mark.parametrize("preset", list_presets())
 def test_empirical_suite_all_presets(preset):
     # reduced path length; the estimator battery against closed-form /
     # window-sampler targets for every shipped preset
-    cfg = load_config(preset, FAST)
-    checks = suite_empirical(cfg, path_length=500_000)
+    cfg = load_config(preset, {**FAST, "path": {"length": 500_000}})
+    checks = suite_empirical(cfg)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
@@ -69,13 +71,13 @@ def test_worker_count_is_deterministic(monkeypatch):
     # 20000 rows in chunks of 6000: three full chunks and a ragged one of 2000;
     # seqspace's time-change suite runs on axis-form window batches
     monkeypatch.setattr(verify, "_MC_CHUNK", 6000)
-    for preset, suite, kwargs in (("ma2", "time-change", {}), ("ma2", "mixture", {}),
-                                  ("ma2", "empirical-vs-closed", {"path_length": 200_000}),
-                                  ("ma2", "limit-measure", {}),
-                                  ("seqspace", "time-change", {})):
-        cfg = load_config(preset, FAST)
+    for preset, suite, path in (("ma2", "time-change", {}), ("ma2", "mixture", {}),
+                                ("ma2", "empirical-vs-closed", {"path": {"length": 200_000}}),
+                                ("ma2", "limit-measure", {}),
+                                ("seqspace", "time-change", {})):
+        cfg = load_config(preset, {**FAST, **path})
         reports = {
-            report_json(build_report(run_suite(cfg, suite, workers=w, **kwargs), cfg, suite))
+            report_json(build_report(run_suite(cfg, suite, workers=w), cfg, suite))
             for w in (1, 2, 3)
         }
         assert len(reports) == 1, (preset, suite)
