@@ -80,6 +80,14 @@ def cmd_simulate(args):
     return 0
 
 
+def _check_window_fits(n, back, fwd, dim):
+    """Refuse n windows [-back, fwd] whose dense array exceeds physical memory."""
+    need = n * (back + fwd + 1) * dim * 8
+    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ConfigError(f"window [-{back}, {fwd}] of {n} samples in dimension {dim} needs "
+                          f"{need / 2**30:.3g} GiB, more than the physical memory")
+
+
 def cmd_spectral(args):
     back, fwd = args.window
     n = args.n
@@ -89,6 +97,7 @@ def cmd_spectral(args):
         raise ConfigError(f"--n must be at least 0, got {n}")
     cfg = _load(args)
     sampler = cfg.window_sampler()
+    _check_window_fits(n, back, fwd, sampler.space.dim)
     rng = np.random.default_rng([cfg.seed, 0x5B])
     d = sampler.space.dim
     header = "sample,offset," + ",".join(f"x{j}" for j in range(d)) + ",origin"
@@ -114,7 +123,7 @@ def cmd_spectral(args):
             p = sampler.consts.p[i]
             se = np.sqrt(max(p * (1 - p), 0.0) / n)
             print(f"  lag {lag}: {counts.get(lag, 0) / n:.5f} vs p={p:.5f} (se {se:.5f})")
-        print(f"component acceptance rates: min {min(sampler.acceptance_rates().values()):.4f}")
+        print(f"per-lag acceptance rates: min {min(sampler.acceptance_rates().values()):.4f}")
     print(f"wrote {n} windows to {args.out}")
     return 0
 
@@ -146,14 +155,25 @@ def cmd_summarize(args):
         first = None  # dual mode pairs with the first coordinate
         if args.mode == "dual":
             first = LinearFunctional(tuple([1.0] + [0.0] * (sampler.space.dim - 1)))
-        if args.stat == "tail-dep":
-            res = tail_dependence(sampler, args.lag, b=first, mode=args.mode, n=n, rng=rng)
-        elif args.stat == "joint-survival":
+        window = (max(0, -args.lag), max(0, args.lag))  # tail-dep, extremogram
+        if args.stat == "joint-survival":
             try:
                 idx = [int(x) for x in args.indices.split(",")]
             except ValueError:
                 raise ConfigError(f"--indices must be comma-separated integers, "
                                   f"got {args.indices!r}") from None
+            window = (max(0, -min(idx)), max(0, max(idx)))
+        elif args.stat == "extremal-index":
+            horizon = args.horizon
+            if horizon is not None and horizon < 0:
+                raise ConfigError(f"--horizon must be at least 0, got {horizon}")
+            if horizon is None and sampler.forward_extent is None:
+                horizon = cfg.ar1_horizon
+            window = (0, sampler.forward_extent if horizon is None else horizon)
+        _check_window_fits(n, *window, sampler.space.dim)
+        if args.stat == "tail-dep":
+            res = tail_dependence(sampler, args.lag, b=first, mode=args.mode, n=n, rng=rng)
+        elif args.stat == "joint-survival":
             if first is not None:
                 res = joint_survival_limit(sampler, idx, functionals=[first] * len(idx),
                                            n=n, rng=rng)
@@ -161,19 +181,12 @@ def cmd_summarize(args):
                 res = joint_survival_limit(sampler, idx, norm_weights=[1.0] * len(idx),
                                            n=n, rng=rng)
         elif args.stat == "extremal-index":
-            horizon = args.horizon
-            if horizon is not None and horizon < 0:
-                raise ConfigError(f"--horizon must be at least 0, got {horizon}")
-            if horizon is None and sampler.forward_extent is None:
-                horizon = cfg.ar1_horizon
             res = extremal_index(sampler, mode=args.mode, b=first, m_horizon=horizon,
                                  n=n, rng=rng)
-        elif args.stat == "extremogram":
+        else:  # extremogram
             a = Event("norm_gt", float(args.threshold_a))
             b = Event("norm_gt", float(args.threshold_b))
             res = extremogram_limit(sampler, a, b, args.lag, n=n, rng=rng)
-        else:
-            raise ConfigError(f"unknown stat {args.stat!r}")
         result = {
             "stat": args.stat,
             "value": res.value,

@@ -429,17 +429,12 @@ class ModelConfig:
             self.family(), innov, rng=rng, max_trials=self.max_rejection_trials
         )
 
-    def path_config(self, length=None) -> PathConfig:
+    def path_config(self) -> PathConfig:
         p = self.data["path"]
-        return PathConfig(
-            int(length if length is not None else p["length"]),
-            int(p["burn_in"]),
-            int(p["truncation"]),
-            self.seed,
-        )
+        return PathConfig(int(p["length"]), int(p["burn_in"]), int(p["truncation"]), self.seed)
 
-    def simulate(self, length=None):
-        cfg = self.path_config(length)
+    def simulate(self):
+        cfg = self.path_config()
         innov = self.innovation()
         if self.model_type == "ar1":
             T = _build_operator(self.data["model"]["operator"], self.space().dim)

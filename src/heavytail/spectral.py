@@ -7,7 +7,8 @@ This module carries the algorithmic core of the library:
 * push-forward of a spectral measure under a bounded linear operator,
   via rejection against an operator-norm envelope;
 * per-lag tail constants ``c_n = E ||T_n Theta||^alpha`` of an operator
-  family and the mixture probabilities ``p_n = c_n / sum c`` they induce;
+  family and the mixture probabilities ``p_n = c_n / sum c`` they induce,
+  the targets of the checks (the samplers do not read them);
 * exact window samplers for the spectral process of linear processes,
   first-order autoregressions, and operator images of either; windows of an
   embedding family come in the sparse axis form of ``WindowBatch`` (one
@@ -18,10 +19,10 @@ This module carries the algorithmic core of the library:
 * the time-change right-hand side and the finite-window limit-measure
   evaluator, both used by the verification suites.
 
-All samplers draw from the exact mixture law: a lag ``N`` is picked once
-with probability ``p_N`` and the innovation angle is then rejection-sampled
-within that component.  The default envelope is ``op_norm_bound``, exact or
-certified, so it only affects efficiency; a drawn proposal above a
+Every sampler is one rejection against an envelope; the window sampler draws
+the lag and the innovation angle jointly (see ``LinearProcessSpectral``), so
+it needs no tail constant.  The default envelope is ``op_norm_bound``, exact
+or certified, so it only affects efficiency; a drawn proposal above a
 caller-supplied envelope raises SamplingError rather than bias the law.
 """
 
@@ -81,12 +82,11 @@ def _rejection_collect(n, propose, rng, max_trials, label):
     The proposal budget is ``max_trials`` plus 20 proposals per requested
     draw; exhausting it raises SamplingError carrying the observed
     acceptance rate.  At n = 0 the one proposal has size zero, which gives
-    correctly shaped empty results and draws nothing from ``rng``.
+    correctly shaped empty results and draws nothing from ``rng``.  One round
+    that fills the quota is returned without a joining copy.
     """
     budget = max_trials + 20 * n
-    parts = []
-    accepted = 0
-    proposed = 0
+    parts, accepted, proposed = [], 0, 0
     while True:
         need = n - accepted
         rate = accepted / proposed if proposed else 1.0
@@ -103,21 +103,19 @@ def _rejection_collect(n, propose, rng, max_trials, label):
                 f"{label}: acceptance rate ~{accepted / proposed:.3e} too low after "
                 f"{proposed} proposals ({accepted}/{n} accepted)"
             )
-    return tuple(
-        np.concatenate([part[i] for part in parts])[:n] for i in range(len(parts[0]))
-    )
+    joined = parts[0] if len(parts) == 1 else [np.concatenate(col) for col in zip(*parts)]
+    return tuple(x[:n] for x in joined)
 
 
 def _tilt_accept(v, bound, alpha, rng):
     """Accept each proposal of norm ``v`` with probability (v / bound)^alpha,
-    drawing one uniform per proposal.  A norm above ``bound`` beyond rounding
-    would bias the law, so it raises before drawing."""
-    worst = float(np.max(v, initial=0.0))
-    if worst > bound * (1.0 + 1e-9):
-        raise SamplingError(
-            f"proposal norm {worst!r} exceeds the envelope bound {bound!r}, "
-            f"which is therefore not an upper bound"
-        )
+    drawing one uniform per proposal; ``bound`` is one value or one per
+    proposal.  A norm above its bound beyond rounding would bias the law, so
+    it raises before drawing."""
+    worst = float(np.max(v / bound, initial=0.0))
+    if worst > 1.0 + 1e-9:
+        raise SamplingError(f"a proposal norm exceeds the envelope bound {worst!r}-fold, "
+                            f"which is therefore not an upper bound")
     u = rng.random(len(v))
     return (v > 0) & (u * bound**alpha <= v**alpha)
 
@@ -128,9 +126,10 @@ class OperatorFamily:
 
     The operators at the sorted ``lags`` are stacked once into one ``kind``:
     ``scalar`` (coefficients a_n), ``embedding`` (the index of z -> z * e_index)
-    or ``dense`` (matrices).  ``images``, ``norms`` and ``accumulate`` act on
-    lags by position in ``lags``; at one position they equal ``apply`` and ``norm``
-    byte for byte (chains act via their product matrix); embeddings build no images.
+    or ``dense`` (matrices).  ``images``, ``norms`` and ``accumulate`` name a lag by
+    its position in ``lags``: one for all rows, or (``images``, ``norms``) one per
+    row.  At one position they equal ``apply`` and ``norm`` byte for byte (chains
+    act via their product matrix); embedding norms build no images.
     """
 
     ops: dict
@@ -159,29 +158,34 @@ class OperatorFamily:
             self.kind, self.stack = "dense", np.array([op.as_matrix() for op in members])
 
     def images(self, z, pos):
-        """T_n z for the lags at positions ``pos``, shape (len(z), len(pos), d_out)."""
-        s = self.stack[pos]
+        """Row i of the result is T_n z[i], n = lags[pos] (or lags[pos[i]]), shape
+        (len(z), d_out).  Dense rows are grouped by lag, one matrix product each."""
         if self.kind == "scalar":
-            return z[:, None, :] * s[:, None]
+            return z * np.reshape(self.stack[pos], (-1, 1))
         if self.kind == "embedding":
-            out = np.zeros((len(z), len(s), self.codomain.dim))
-            out[:, np.arange(len(s)), s] = z
+            out = np.zeros((len(z), self.codomain.dim))
+            out[np.arange(len(z)), self.stack[pos]] = z[:, 0]
             return out
-        return (z @ s.reshape(-1, self.domain.dim).T).reshape(len(z), len(s), -1)
+        if np.ndim(pos) == 0:
+            return z @ self.stack[pos].T
+        out = np.empty((len(z), self.codomain.dim))
+        for k in np.flatnonzero(np.bincount(pos)):
+            rows = np.flatnonzero(pos == k)
+            out[rows] = z[rows] @ np.ascontiguousarray(self.stack[k].T)  # C order: faster
+        return out
 
     def norms(self, z, pos):
-        """||T_n z|| for the same lags, shape (len(z), len(pos))."""
+        """||T_n z[i]|| for the same lags, shape (len(z),)."""
         if self.kind == "embedding":
-            return self.codomain.axis_norms(z, self.stack[pos])
-        img = self.images(z, pos)
-        return self.codomain.norm(img.reshape(-1, img.shape[-1])).reshape(len(z), -1)
+            return self.codomain.axis_norms(z[:, 0], self.stack[pos])
+        return self.codomain.norm(self.images(z, pos))
 
     def accumulate(self, out, k, z):
         """Add T_n z, n = lags[k], into ``out`` and return ||T_n z||."""
         if self.kind == "embedding":
             out[:, self.stack[k]] += z[:, 0]
-            return self.norms(z, [k])[:, 0]
-        img = self.images(z, [k])[:, 0]
+            return self.norms(z, k)
+        img = self.images(z, k)
         out += img
         return self.codomain.norm(img)
 
@@ -226,13 +230,14 @@ def _mean_with_se(values):
 
 def _tail_constants(fam, base, n_mc, rng):
     """Arrays (c, stderr) of c_n = E ||T_n Theta||^alpha over ``fam.lags``: closed
-    form where one exists, else Monte Carlo over one shared set of angle draws."""
+    form where one exists, else Monte Carlo over one shared set of angle draws.
+    The third value maps each Monte Carlo lag position to its per-draw values."""
     c, se = np.zeros((2, len(fam.lags)))
     atoms = base.angle.atoms()
-    mc = []
+    mc, draws = [], {}
     for k, n in enumerate(fam.lags):
         if atoms is not None:
-            c[k] = atoms[1] @ fam.norms(atoms[0], [k])[:, 0] ** fam.alpha
+            c[k] = atoms[1] @ fam.norms(atoms[0], k) ** fam.alpha
         else:
             scale = fam.ops[n].isometry_scale(base.angle.space, fam.codomain)
             if scale is not None:
@@ -244,9 +249,9 @@ def _tail_constants(fam, base, n_mc, rng):
             raise DomainError("family needs Monte Carlo constants; pass n_mc and rng")
         theta = base.angle.sample(n_mc, rng)
         for k in mc:
-            values = fam.norms(theta, [k])[:, 0] ** fam.alpha
-            c[k], se[k] = _mean_with_se(values)
-    return c, se
+            draws[k] = fam.norms(theta, k) ** fam.alpha
+            c[k], se[k] = _mean_with_se(draws[k])
+    return c, se, draws
 
 
 def pushforward_constant(A, base, codomain, n_mc=None, rng=None):
@@ -257,32 +262,40 @@ def pushforward_constant(A, base, codomain, n_mc=None, rng=None):
     ``n_mc`` angle draws with its standard error.
     """
     fam = OperatorFamily({0: A}, base.space, codomain, base.alpha)
-    c, se = _tail_constants(fam, base, n_mc, rng)
+    c, se, _ = _tail_constants(fam, base, n_mc, rng)
     return float(c[0]), float(se[0])
 
 
 @dataclass(frozen=True)
 class SeriesConstants:
-    """Per-lag tail constants c_n and the mixture probabilities p_n = c_n / sum c."""
+    """Per-lag tail constants c_n and the mixture probabilities p_n = c_n / sum c,
+    each with its Monte Carlo standard error (0 for closed forms)."""
 
     indices: tuple
     c: np.ndarray
     p: np.ndarray
     c_total: float
     stderr: np.ndarray
+    p_stderr: np.ndarray
 
 
 def series_constants(fam, base, n_mc=None, rng=None):
     """Tail constants of every family member, sharing one angle sample set.
 
     Common random numbers across lags reduce the variance of the p_n
-    ratios; lags with a closed form are exact regardless.
+    ratios; lags with a closed form are exact regardless.  The stderr of
+    p_n is the delta-method one of the ratio of means over the shared draws.
     """
-    c, se = _tail_constants(fam, base, n_mc, rng)
+    c, se, draws = _tail_constants(fam, base, n_mc, rng)
     total = float(c.sum())
     if total <= 0:
         raise DomainError("degenerate operator family: all tail constants vanish")
-    return SeriesConstants(tuple(fam.indices), c, c / total, total, se)
+    p, p_se = c / total, np.zeros(len(c))
+    if draws:
+        s = sum(draws.values())
+        for k in range(len(c)):
+            p_se[k] = _mean_with_se(draws.get(k, 0.0) - p[k] * s)[1] / total
+    return SeriesConstants(tuple(fam.indices), c, p, total, se, p_se)
 
 
 class PushforwardAngle(SpectralSampler):
@@ -346,11 +359,12 @@ class PushforwardAngle(SpectralSampler):
 class LinearProcessSpectral:
     """Window sampler for the spectral process of X_t = sum_i T_i Z_{t-i}.
 
-    The law is the mixture sum_n p_n kappa_n: pick lag N from p, accept an
-    innovation angle theta when U <= (||T_N theta|| / B_N)^alpha, and emit
-    Theta_t = T_{N+t} theta / ||T_N theta||; lags outside the family window
-    act as the zero operator.  For an embedding family every slot has at most
-    one nonzero coordinate, and ``sample`` returns an axis-form batch.
+    One joint rejection draws the mixture sum_n p_n kappa_n exactly: propose
+    lag N with probability proportional to B_N^alpha (its norm bound) and theta
+    from the base angle law, accept when U <= (||T_N theta|| / B_N)^alpha, and
+    emit Theta_t = T_{N+t} theta / ||T_N theta||; lags outside the family act
+    as zero.  ``consts`` (the c_n) are targets and diagnostics only.  Windows
+    of an embedding family come in axis form.
     """
 
     def __init__(self, fam, base, rng=None, max_trials=DEFAULT_MAX_TRIALS):
@@ -362,73 +376,49 @@ class LinearProcessSpectral:
         self.space = fam.codomain
         self.max_trials = max_trials
         self.consts = series_constants(fam, base, _N_MC_CONSTANTS, rng)
-        for lag in fam.indices:  # materialize bounds (lazy cache is not thread-safe)
-            fam.norm_bound(lag)
+        self._bounds = np.array([fam.norm_bound(lag).value for lag in fam.indices])
+        self._lag_p = self._bounds**self.alpha / np.sum(self._bounds**self.alpha)
         self.backward_extent = self.forward_extent = fam.extent
 
     def _window_family(self, top):
         """A family holding every lag a window can reach, up to lag ``top``."""
         return self.fam
 
-    def _component_draws(self, n_comp, m, rng):
-        k = [int(np.searchsorted(self.fam.lags, n_comp))]
-        bound = self.fam.norm_bound(n_comp).value
-        angle = self.base.angle
-        if bound <= 0:
-            raise SamplingError(f"component {n_comp} has zero norm bound")
-        iso = self.fam.ops[n_comp].isometry_scale(angle.space, self.space)
-        if iso is not None and iso >= bound:
-            theta = angle.sample(m, rng)
-            return theta, self.fam.norms(theta, k)[:, 0]
-
-        def propose(j, rng):
-            theta = angle.sample(j, rng)
-            v = self.fam.norms(theta, k)[:, 0]
-            return _tilt_accept(v, bound, self.alpha, rng), (theta, v)
-
-        return _rejection_collect(
-            m, propose, rng, self.max_trials, f"window sampler component {n_comp}"
-        )
-
     def sample(self, n, back, fwd, rng):
         """n windows Theta_{-back} .. Theta_{fwd}; in axis form for an embedding family."""
-        picks = rng.choice(np.asarray(self.consts.indices), size=n, p=self.consts.p)
+
+        def propose(m, rng):
+            pos = rng.choice(len(self._bounds), size=m, p=self._lag_p)
+            theta = self.base.angle.sample(m, rng)
+            v = self.fam.norms(theta, pos)
+            return _tilt_accept(v, self._bounds[pos], self.alpha, rng), (pos, theta, v)
+
+        pos, theta, denom = _rejection_collect(n, propose, rng, self.max_trials, "window sampler")
+        picks = self.fam.lags[pos]
         fam = self._window_family(int(picks.max(initial=0)) + fwd)
-        offsets = np.arange(-back, fwd + 1)
-        axis = fam.kind == "embedding"
-        if axis:
-            scale = np.empty(n)  # theta / ||T_N theta|| of each window's one draw
-        else:
-            out = np.zeros((n, len(offsets), self.space.dim))
-        # rows grouped by component, ascending within each group
-        comps, counts = np.unique(picks, return_counts=True)
-        groups = np.split(np.argsort(picks, kind="stable"), np.cumsum(counts)[:-1])
-        for n_comp, rows in zip(comps.tolist(), groups):
-            theta, denom = self._component_draws(n_comp, len(rows), rng)
-            if axis:
-                scale[rows] = theta[:, 0] / denom
-            else:
-                slots = np.flatnonzero(np.isin(n_comp + offsets, fam.lags))
-                img = fam.images(theta, np.searchsorted(fam.lags, n_comp + offsets[slots]))
-                img /= denom[:, None, None]  # T(theta / denom) would round differently
-                out[rows[:, None], slots] = img
-        if not axis:
-            return WindowBatch(out, back, fwd, self.space, origin=picks)
-        lag = picks[:, None] + offsets
-        pos = np.minimum(np.searchsorted(fam.lags, lag), len(fam.lags) - 1)
-        live = fam.lags[pos] == lag
-        return WindowBatch.from_axes(
-            np.where(live, scale[:, None], 0.0), np.where(live, fam.stack[pos], -1),
-            back, fwd, self.space, origin=picks,
-        )
+        # per origin lag and slot: the slot lag's position in fam.lags, and whether it is one
+        lag = self.fam.lags[:, None] + np.arange(-back, fwd + 1)
+        at = np.minimum(np.searchsorted(fam.lags, lag), len(fam.lags) - 1)
+        has = fam.lags[at] == lag
+        if fam.kind == "embedding":
+            scale = theta[:, 0] / denom  # theta / ||T_N theta|| of each window
+            del theta, denom
+            return WindowBatch.from_axes(
+                np.where(has[pos], scale[:, None], 0.0), np.where(has, fam.stack[at], -1)[pos],
+                back, fwd, self.space, origin=picks,
+            )
+        out = np.zeros((n, lag.shape[1], self.space.dim))
+        for j in np.flatnonzero(has.any(axis=0)):
+            img = fam.images(theta, at[:, j][pos])
+            img /= denom[:, None]  # T(theta / denom) would round differently
+            out[:, j] = np.where(has[:, j][pos][:, None], img, 0.0)
+        return WindowBatch(out, back, fwd, self.space, origin=picks)
 
     def acceptance_rates(self):
-        """Per-component acceptance probabilities c_n / B_n^alpha (diagnostic)."""
-        out = {}
-        for i, lag in enumerate(self.consts.indices):
-            bound = self.fam.norm_bound(lag).value
-            out[lag] = float(self.consts.c[i] / bound**self.alpha) if bound > 0 else 0.0
-        return out
+        """Per-lag acceptance probabilities c_n / B_n^alpha, which the joint
+        rejection meets exactly given the proposed lag (diagnostic)."""
+        return {lag: float(c / b**self.alpha) if b > 0 else 0.0
+                for lag, c, b in zip(self.consts.indices, self.consts.c, self._bounds)}
 
 
 class AR1Spectral(LinearProcessSpectral):

@@ -175,7 +175,8 @@ def _canonical_tilt_example(alpha):
 
 
 def suite_mixture(cfg, workers=1):
-    """Mixture origin frequencies against p_n, and the rejection pushforward
+    """Mixture origin frequencies against p_n, which the sampler does not read
+    (a Monte Carlo p_n enters with its stderr), and the rejection pushforward
     against an exact conditional-tilt oracle on a discrete angle law."""
     sampler = cfg.window_sampler()
     n = cfg.n_samples
@@ -194,7 +195,7 @@ def suite_mixture(cfg, workers=1):
             continue  # too rare to test at this sample size
         freq = float(np.mean(origins == lag))
         se = float(np.sqrt(p * (1 - p) / n))
-        checks.append(_check_3se(f"origin_freq[lag={lag}]", freq, p, se))
+        checks.append(_check_3se(f"origin_freq[lag={lag}]", freq, p, se, consts.p_stderr[i]))
 
     space, points, weights, operator, image_atoms, tilted = _canonical_tilt_example(cfg.alpha)
     base = RegVarDist(cfg.alpha, 1.0, Atomic(points, weights, space))

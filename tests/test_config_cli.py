@@ -27,7 +27,7 @@ def test_preset_builders():
         sampler = cfg.window_sampler()
         wb = sampler.sample(50, 1, 1, np.random.default_rng(1))
         assert np.all(np.abs(wb.norm_at(0) - 1.0) < 1e-9)
-        path = cfg.simulate(length=200)
+        path = load_config(name, {"path": {"length": 200}}).simulate()
         assert len(path) == 200
 
 
@@ -80,11 +80,12 @@ def test_general_operator_family_config():
     }
     data["path"]["burn_in"] = 2
     data["path"]["truncation"] = 2
+    data["path"]["length"] = 500
     cfg = load_config(data)
     sampler = cfg.window_sampler()
     wb = sampler.sample(2000, 1, 1, np.random.default_rng(3))
     assert np.all(np.abs(wb.norm_at(0) - 1.0) < 1e-9)
-    path = cfg.simulate(length=500)
+    path = cfg.simulate()
     assert path.values.shape == (500, 2)
 
 
@@ -270,6 +271,23 @@ def test_cli_summarize_examples(tmp_path):
     assert rec["value"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("argv, window", [
+    (["summarize", "--stat", "joint-survival", "--indices", "0,1000000000000", "--n", "100"],
+     "[-0, 1000000000000]"),
+    (["summarize", "--stat", "tail-dep", "--lag", "-1000000000000", "--n", "100"],
+     "[-1000000000000, 0]"),
+    (["summarize", "--stat", "extremal-index", "--horizon", "1000000000000", "--n", "100"],
+     "[-0, 1000000000000]"),
+    (["spectral", "--n", "100", "--window", "0", "1000000000000"], "[-0, 1000000000000]"),
+], ids=["joint-survival", "tail-dep", "extremal-index", "spectral"])
+def test_cli_window_beyond_physical_memory_is_exit_2(tmp_path, capsys, argv, window):
+    out = tmp_path / "w.out"
+    assert main(argv + ["--config", "ma2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: window {window} of 100 samples" in err and "physical memory" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_cli_verify_report_deterministic(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     data = json.loads(load_config("ma2").canonical_json())
@@ -333,7 +351,7 @@ def test_cli_big_jump_non_contracting_ar1_is_exit_2(tmp_path, capsys):
 
 def _dense_sphere_config(tmp_path, n_samples):
     data = {
-        "version": 1, "alpha": 1.5, "seed": 7,
+        "version": 1, "alpha": 1.5, "seed": 8,
         "norm": {"kind": "lp", "dim": 3, "p": 2},
         "innovation": {"scale": 1.0, "angle": {"kind": "sphere_uniform"}},
         "model": {"type": "linear_ops", "operators": [

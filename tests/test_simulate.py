@@ -256,7 +256,7 @@ def test_ar1_blocked_recursion_matches_per_step_loop(T, length):
     assert _max_row_rel_err(_ar1_recursion(T, z), ref) <= 1e-12
 
 
-def _chain_ar1_config():
+def _chain_ar1_config(length):
     # shift after dense: max-norm 1.6 > 1, spectral radius about 0.81
     return load_config({
         "version": 1,
@@ -274,14 +274,14 @@ def _chain_ar1_config():
             "horizon": 64,
         },
         "mc": {"n_samples": 1000, "max_rejection_trials": 100000},
-        "path": {"length": 100, "burn_in": 0, "truncation": 0},
+        "path": {"length": length, "burn_in": 0, "truncation": 0},
     })
 
 
 @pytest.mark.parametrize("length", AR1_LENGTHS)
 def test_ar1_chain_config_path_matches_per_step_loop(length):
-    cfg = _chain_ar1_config()
-    path = cfg.simulate(length=length)
+    cfg = _chain_ar1_config(length)
+    path = cfg.simulate()
     T = DenseOp([[0.0, 0.0, 0.0], [0.9, 0.5, 0.2], [-0.4, 0.8, 0.3]])
     ref = _ar1_reference(T, _innovation_block(cfg.innovation(), length, cfg.seed))
     assert _max_row_rel_err(path.values, ref) <= 1e-12

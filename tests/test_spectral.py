@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heavytail import spectral
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.spaces import (
     ChainOp,
@@ -546,38 +547,38 @@ def test_limit_measure_marginal_consistency():
 # stacked operator family against the per-lag apply loops it replaced
 
 
-def _component_draws_reference(sampler, n_comp, m, rng):
-    op = sampler.fam.ops[n_comp]
-    bound = sampler.fam.norm_bound(n_comp).value
-    angle = sampler.base.angle
-    iso = op.isometry_scale(angle.space, sampler.space)
-    if iso is not None and iso >= bound:
-        theta = angle.sample(m, rng)
-        return theta, sampler.space.norm(op.apply(theta))
+def _joint_draws_reference(sampler, n, rng):
+    """The joint lag-and-angle rejection as a per-row ``apply`` loop: lag N with
+    probability proportional to B_N^alpha, Theta from the base angle law,
+    accepted when U B_N^alpha <= ||T_N Theta||^alpha."""
+    fam, space, alpha = sampler.fam, sampler.space, sampler.alpha
+    bounds = np.array([fam.norm_bound(lag).value for lag in fam.indices])
+    weights = bounds**alpha
 
-    def propose(k, rng):
-        theta = angle.sample(k, rng)
-        v = sampler.space.norm(op.apply(theta))
-        return _tilt_accept(v, bound, sampler.alpha, rng), (theta, v)
+    def propose(m, rng):
+        picks = rng.choice(fam.lags, size=m, p=weights / weights.sum())
+        theta = sampler.base.angle.sample(m, rng)
+        v = np.array([space.norm(fam.ops[lag].apply(row)) for lag, row in zip(picks, theta)])
+        b = bounds[np.searchsorted(fam.lags, picks)]
+        u = rng.random(m)
+        return (v > 0) & (u * b**alpha <= v**alpha), (picks, theta, v)
 
-    return _rejection_collect(m, propose, rng, sampler.max_trials, "reference")
+    return _rejection_collect(n, propose, rng, sampler.max_trials, "reference")
 
 
 def _sample_reference(sampler, n, back, fwd, rng):
-    """The per-slot ``apply`` loop of ``LinearProcessSpectral.sample`` (with
-    AR(1) lags past the horizon as ``op_power``), kept as the reference."""
-    picks = rng.choice(np.asarray(sampler.consts.indices), size=n, p=sampler.consts.p)
+    """Windows of the joint rejection, slot by slot and row by row with ``apply``
+    (AR(1) lags past the horizon as ``op_power``), kept as the reference."""
+    picks, theta, denom = _joint_draws_reference(sampler, n, rng)
+    ops = dict(sampler.fam.ops)
     out = np.zeros((n, back + fwd + 1, sampler.space.dim))
-    for n_comp in np.unique(picks):
-        rows = np.flatnonzero(picks == n_comp)
-        theta, denom = _component_draws_reference(sampler, int(n_comp), len(rows), rng)
+    for i, (lag, row, d) in enumerate(zip(picks.tolist(), theta, denom)):
         for t in range(-back, fwd + 1):
-            lag = int(n_comp) + t
-            op = sampler.fam.ops.get(lag)
-            if op is None and isinstance(sampler, AR1Spectral) and lag > sampler.horizon:
-                op = op_power(sampler.T, lag)
-            if op is not None:
-                out[rows, back + t, :] = op.apply(theta) / denom[:, None]
+            if isinstance(sampler, AR1Spectral) and lag + t > sampler.horizon:
+                if lag + t not in ops:
+                    ops[lag + t] = op_power(sampler.T, lag + t)
+            if lag + t in ops:
+                out[i, back + t, :] = ops[lag + t].apply(row) / d
     return out, picks
 
 
@@ -673,7 +674,7 @@ def test_seeded_window_norms_equal_space_norm(codomain):
     np.testing.assert_array_equal(wb.coord < 0, wb.norms() == 0)  # -1 marks a zero slot
     # window slots hold +-1 / ||e_j||; Pareto innovations exercise the formula
     z = sampler.base.sample(5000, np.random.default_rng(46))
-    pos = np.arange(len(fam.lags))
+    pos = np.arange(5000) % len(fam.lags)
     assert _bits(fam.norms(z, pos)) == _bits(codomain.norm(fam.images(z, pos)))
 
 
@@ -723,16 +724,93 @@ def test_stacked_images_and_norms_match_apply():
     for case, z in (("seqspace", z1), ("shared_embedding", z1), ("scalar_sphere", z3),
                     ("dense_chain", z3)):
         fam, _ = _stacked_case(case)
-        pos = np.arange(len(fam.lags))[::-1]
-        want = np.stack([fam.ops[fam.indices[k]].apply(z) for k in pos], axis=1)
+        # one lag per row, in descending runs so that the dense rows need grouping
+        pos = (len(fam.lags) - 1 - np.arange(50)) % len(fam.lags)
+        want = np.array([fam.ops[fam.indices[k]].apply(row) for k, row in zip(pos, z)])
         assert _row_rel_err(fam.images(z, pos), want) <= 1e-12
-        norms = fam.norms(z, pos)
-        np.testing.assert_allclose(norms, fam.codomain.norm(want), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fam.norms(z, pos), fam.codomain.norm(want),
+                                   rtol=1e-12, atol=0)
+        # one lag for every row: accumulate adds the images and returns their norms
         total = np.zeros((50, fam.codomain.dim))
-        for k in range(len(fam.lags)):
-            np.testing.assert_allclose(fam.accumulate(total, k, z), norms[:, ::-1][:, k],
-                                       rtol=1e-12, atol=0)
-        assert _row_rel_err(total, want.sum(axis=1)) <= 1e-12
+        for k, n in enumerate(fam.indices):
+            want_k = fam.ops[n].apply(z)
+            assert _row_rel_err(fam.images(z, k), want_k) <= 1e-12
+            norms = fam.accumulate(total, k, z)
+            assert _bits(norms) == _bits(fam.norms(z, k))
+            np.testing.assert_allclose(norms, fam.codomain.norm(want_k), rtol=1e-12, atol=0)
+        want_sum = sum(fam.ops[n].apply(z) for n in fam.indices)
+        assert _row_rel_err(total, want_sum) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# joint lag-and-angle rejection against constants it does not read
+
+
+L2_3 = lp_norm(3, 2)
+
+
+def _dense_l2_sphere_case():
+    ops = {0: DenseOp([[1.0, 0.2, 0.0], [0.0, 0.8, 0.1], [0.1, 0.0, 0.6]]),
+           1: DenseOp([[0.5, -0.3, 0.2], [0.1, 0.4, 0.0], [0.0, 0.2, -0.5]]),
+           2: DenseOp(MIX3)}
+    return OperatorFamily(ops, L2_3, L2_3, 1.5), RegVarDist(1.5, 1.0, SphereUniform(L2_3))
+
+
+def test_joint_rejection_lag_frequencies_match_independent_constants():
+    fam, base = _dense_l2_sphere_case()
+    sampler = LinearProcessSpectral(fam, base, rng=np.random.default_rng(60))
+    n = 200_000
+    origin = sampler.sample(n, 0, 0, np.random.default_rng(61)).origin
+    # c_n from 4e6 angle draws of a stream the sampler never sees, in chunks,
+    # with the delta-method stderr of p_n = c_n / sum c from running moments
+    rng = np.random.default_rng(62)
+    k, m, chunks = len(fam.lags), 500_000, 8
+    sums, cross = np.zeros(k), np.zeros((k, k))
+    for _ in range(chunks):
+        theta = base.angle.sample(m, rng)
+        v = np.stack([fam.norms(theta, j) ** fam.alpha for j in range(k)])
+        sums += v.sum(axis=1)
+        cross += v @ v.T
+    draws = m * chunks
+    c = sums / draws
+    cov = (cross / draws - np.outer(c, c)) / draws  # covariance of the means
+    p = c / c.sum()
+    for j, lag in enumerate(fam.indices):
+        grad = (np.eye(k)[j] - p[j]) / c.sum()  # d p_j / d c
+        se = np.sqrt(p[j] * (1 - p[j]) / n + grad @ cov @ grad)
+        assert abs(np.mean(origin == lag) - p[j]) <= 3 * se, lag
+
+
+def test_series_constants_p_stderr_matches_replication_spread():
+    assert np.all(series_constants(family_from_coeffs([1.0, 0.5], 1.0, R1), POS).p_stderr == 0)
+    fam, base = _dense_l2_sphere_case()
+    reps = [series_constants(fam, base, 2000, np.random.default_rng([63, i]))
+            for i in range(200)]
+    spread = np.std([r.p for r in reps], axis=0, ddof=1)
+    # the spread of 200 replications is within 15% (3 of its own se) of the truth
+    np.testing.assert_allclose(np.mean([r.p_stderr for r in reps], axis=0), spread, rtol=0.15)
+
+
+def test_joint_rejection_acceptance_rate_is_ratio_of_sums(monkeypatch):
+    fam, base = _stacked_case("dense_chain")  # atomic angles: closed-form c_n
+    sampler = LinearProcessSpectral(fam, base)
+    counts = np.zeros(2)
+
+    def counting(v, bound, alpha, rng):
+        accept = _tilt_accept(v, bound, alpha, rng)
+        counts[:] += (len(v), accept.sum())
+        return accept
+
+    monkeypatch.setattr(spectral, "_tilt_accept", counting)
+    sampler.sample(200_000, 0, 0, np.random.default_rng(64))
+    proposed, accepted = counts
+    bounds = np.array([fam.norm_bound(n).value for n in fam.indices])
+    target = sampler.consts.c.sum() / np.sum(bounds**fam.alpha)
+    assert target < 0.9
+    assert abs(accepted / proposed - target) <= 3 * np.sqrt(target * (1 - target) / proposed)
+    # given the proposed lag, acceptance is c_n / B_n^alpha
+    np.testing.assert_allclose(list(sampler.acceptance_rates().values()),
+                               sampler.consts.c / bounds**fam.alpha, rtol=1e-15)
 
 
 class _FixedBatch:

@@ -33,6 +33,36 @@ def test_mixture_suite_all_presets(preset):
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
+DENSE_SPHERE = {
+    "version": 1, "alpha": 1.5, "seed": 7,
+    "norm": {"kind": "lp", "dim": 3, "p": 2},
+    "innovation": {"scale": 1.0, "angle": {"kind": "sphere_uniform"}},
+    "model": {"type": "linear_ops", "operators": [
+        {"index": 0, "op": {"kind": "dense", "matrix": [
+            [1.0, 0.2, 0.0], [0.0, 0.8, 0.1], [0.1, 0.0, 0.6]]}},
+        {"index": 1, "op": {"kind": "dense", "matrix": [
+            [0.5, -0.3, 0.2], [0.1, 0.4, 0.0], [0.0, 0.2, -0.5]]}},
+    ]},
+    "mc": {"n_samples": 20_000},
+    "path": {"length": 20000, "burn_in": 1, "truncation": 1},
+}
+
+
+@pytest.mark.parametrize("source", ["ma3_positive", DENSE_SPHERE], ids=["closed", "mc"])
+def test_origin_freq_stderr_adds_the_monte_carlo_error_of_p(source):
+    cfg = load_config(source, FAST)
+    consts = cfg.window_sampler().consts
+    checks = {c.name: c for c in suite_mixture(cfg)}
+    n = cfg.n_samples
+    for i, lag in enumerate(consts.indices):
+        p, p_se = consts.p[i], consts.p_stderr[i]
+        assert (p_se > 0) == (source is DENSE_SPHERE)
+        check = checks[f"origin_freq[lag={lag}]"]
+        assert check.passed and check.target == p
+        assert check.stderr == pytest.approx(np.hypot(np.sqrt(p * (1 - p) / n), p_se),
+                                             rel=1e-12)
+
+
 @pytest.mark.parametrize("preset", ("iid", "ma2", "ma3_positive", "seqspace"))
 def test_big_jump_suite_finite_presets(preset, monkeypatch):
     # 1e6 draws: max(n_samples, _BIG_JUMP_DRAWS) with the floor lowered
@@ -106,8 +136,7 @@ def test_acceptance_rate_diagnostics():
 
 
 def test_threshold_sweep_converges():
-    cfg = load_config("ma2")
-    path = cfg.simulate(length=2_000_000)
+    path = load_config("ma2", {"path": {"length": 2_000_000}}).simulate()
     rows = threshold_sweep(
         path, lambda p, u: empirical_tail_dependence(p, u, 1),
         quantiles=(0.99, 0.999),
