@@ -4,17 +4,14 @@ heavy-tailed time series in finite-dimensional normed spaces."""
 __version__ = "0.1.0"
 
 from .spaces import (  # noqa: F401
-    ChainOp,
     ContractionCertificate,
     DenseOp,
-    DiagonalOp,
     DimensionError,
     DomainError,
     EmbeddingOp,
     NormSpec,
     OperatorNormBound,
     ScalarOp,
-    ShiftPowerOp,
     identity_op,
     lp_norm,
     max_norm,
@@ -43,7 +40,6 @@ from .spectral import (  # noqa: F401
     time_change_rhs,
 )
 from .summaries import (  # noqa: F401
-    Event,
     LimitFunctionalResult,
     LinearFunctional,
     extremal_index,

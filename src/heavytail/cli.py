@@ -22,7 +22,6 @@ from .simulate import write_csv_rows, write_path_csv
 from .spaces import DimensionError, DomainError
 from .spectral import SamplingError
 from .summaries import (
-    Event,
     LinearFunctional,
     extremal_index,
     extremogram_limit,
@@ -184,9 +183,8 @@ def cmd_summarize(args):
             res = extremal_index(sampler, mode=args.mode, b=first, m_horizon=horizon,
                                  n=n, rng=rng)
         else:  # extremogram
-            a = Event("norm_gt", float(args.threshold_a))
-            b = Event("norm_gt", float(args.threshold_b))
-            res = extremogram_limit(sampler, a, b, args.lag, n=n, rng=rng)
+            res = extremogram_limit(sampler, args.threshold_a, args.threshold_b, args.lag,
+                                    n=n, rng=rng)
         result = {
             "stat": args.stat,
             "value": res.value,

@@ -17,14 +17,12 @@ import numpy as np
 from .rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from .simulate import PathConfig, simulate_ar1, simulate_linear, simulate_sequence_space
 from .spaces import (
-    ChainOp,
     ContractionCertificate,
     DenseOp,
-    DiagonalOp,
+    DimensionError,
     EmbeddingOp,
     NormSpec,
     ScalarOp,
-    ShiftPowerOp,
     identity_op,
     lp_norm,
     max_norm,
@@ -306,19 +304,27 @@ def _rows(rows, field):
 
 
 def _build_operator(spec, dim):
+    """Scalar and embedding kinds keep their own operator; every other kind
+    is the DenseOp of its matrix."""
     kind = spec["kind"]
     if kind == "scalar":
         return ScalarOp(spec["a"], dim)
     if kind == "diagonal":
-        return DiagonalOp(spec["entries"])
+        return DenseOp(np.diag(spec["entries"]))
     if kind == "dense":
         return DenseOp(_rows(spec["matrix"], "dense operator matrix"))
-    if kind == "shift_power":
-        return ShiftPowerOp(spec["m"], dim)
+    if kind == "shift_power":  # (x_0, x_1, ...) -> (0, .., 0, x_0, ...), truncated at dim
+        return DenseOp(np.eye(dim, k=-int(spec["m"])))
     if kind == "embedding":
         return EmbeddingOp(spec["index"], dim)
-    if kind == "chain":
-        return ChainOp([_build_operator(p, dim) for p in spec["parts"]])
+    if kind == "chain":  # parts[0] acts first
+        parts = [_build_operator(p, dim) for p in spec["parts"]]
+        mat = parts[0].as_matrix()
+        for a, b in zip(parts, parts[1:]):
+            if a.out_dim != b.in_dim:
+                raise DimensionError("chained operator dimensions do not match")
+            mat = b.as_matrix() @ mat
+        return DenseOp(mat)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 

@@ -6,11 +6,11 @@ max, l^p (p >= 1), or a weighted l^1 norm with strictly positive weights
 accepts a single vector of shape ``(dim,)`` or a batch ``(n, dim)`` and
 norms/operators act along the last axis.
 
-Operators are small structured matrices (scalar multiples of the
-identity, diagonal, dense, coordinate shifts, coordinate embeddings, and
-compositions) with computable norm bounds.  Every bound is exact or
-certified: where a closed form exists it is the norm itself, otherwise the
-domain's dual norm of the column norms, which no unit vector can exceed.
+An operator is a scalar multiple of the identity, a coordinate embedding
+or a dense matrix; any other linear map (a diagonal, a shift, a product)
+is its matrix.  Every operator norm bound is exact or certified: where a
+closed form exists it is the norm itself, otherwise the domain's dual norm
+of the column norms, which no unit vector can exceed.
 ``ContractionCertificate`` bounds the powers of an operator.
 """
 
@@ -29,11 +29,8 @@ __all__ = [
     "weighted_l1_norm",
     "Operator",
     "ScalarOp",
-    "DiagonalOp",
     "DenseOp",
-    "ShiftPowerOp",
     "EmbeddingOp",
-    "ChainOp",
     "identity_op",
     "op_power",
     "ContractionCertificate",
@@ -205,27 +202,6 @@ class ScalarOp(Operator):
         return f"ScalarOp({self.a}, dim={self.in_dim})"
 
 
-class DiagonalOp(Operator):
-    def __init__(self, entries):
-        self.entries = np.asarray(entries, dtype=float)
-        self.in_dim = self.out_dim = len(self.entries)
-
-    def apply(self, x):
-        return self._check(x) * self.entries
-
-    def as_matrix(self):
-        return np.diag(self.entries)
-
-    def isometry_scale(self, domain, codomain):
-        a = np.abs(self.entries)
-        if domain == codomain and np.all(a == a[0]):
-            return float(a[0])
-        return None
-
-    def __repr__(self):
-        return f"DiagonalOp({self.entries.tolist()})"
-
-
 class DenseOp(Operator):
     def __init__(self, matrix):
         m = np.asarray(matrix, dtype=float)
@@ -240,39 +216,17 @@ class DenseOp(Operator):
     def as_matrix(self):
         return self.matrix.copy()
 
+    def isometry_scale(self, domain, codomain):
+        # A diagonal matrix with entries of one modulus |d| scales every max,
+        # l^p and weighted l^1 norm by |d|.
+        d = np.abs(np.diagonal(self.matrix))
+        if (domain == codomain and np.all(d == d[0])
+                and np.count_nonzero(self.matrix) == np.count_nonzero(d)):
+            return float(d[0])
+        return None
+
     def __repr__(self):
         return f"DenseOp({self.out_dim}x{self.in_dim})"
-
-
-class ShiftPowerOp(Operator):
-    """m-fold coordinate shift on a truncated sequence space.
-
-    Sends (x_0, x_1, ...) to (0, ..., 0, x_0, x_1, ...); entries shifted
-    past the truncation dimension are dropped.
-    """
-
-    def __init__(self, m, dim):
-        if m < 0:
-            raise DomainError("shift power must be nonnegative")
-        self.m = int(m)
-        self.in_dim = self.out_dim = int(dim)
-
-    def apply(self, x):
-        x = self._check(x)
-        out = np.zeros_like(x)
-        if self.m < self.in_dim:
-            out[..., self.m :] = x[..., : self.in_dim - self.m]
-        return out
-
-    def as_matrix(self):
-        mat = np.zeros((self.out_dim, self.in_dim))
-        if self.m < self.in_dim:
-            idx = np.arange(self.in_dim - self.m)
-            mat[idx + self.m, idx] = 1.0
-        return mat
-
-    def __repr__(self):
-        return f"ShiftPowerOp(m={self.m}, dim={self.in_dim})"
 
 
 class EmbeddingOp(Operator):
@@ -304,47 +258,13 @@ class EmbeddingOp(Operator):
         return f"EmbeddingOp(index={self.index}, out_dim={self.out_dim})"
 
 
-class ChainOp(Operator):
-    """Composition of operators, applied in list order (parts[0] first)."""
-
-    def __init__(self, parts):
-        parts = list(parts)
-        if not parts:
-            raise DimensionError("chain needs at least one operator")
-        for a, b in zip(parts, parts[1:]):
-            if a.out_dim != b.in_dim:
-                raise DimensionError("chained operator dimensions do not match")
-        self.parts = parts
-        self.in_dim = parts[0].in_dim
-        self.out_dim = parts[-1].out_dim
-
-    def apply(self, x):
-        x = self._check(x)
-        for part in self.parts:
-            x = part.apply(x)
-        return x
-
-    def as_matrix(self):
-        mat = self.parts[0].as_matrix()
-        for part in self.parts[1:]:
-            mat = part.as_matrix() @ mat
-        return mat
-
-    def isometry_scale(self, domain, codomain):
-        if all(isinstance(p, ScalarOp) for p in self.parts) and domain == codomain:
-            return abs(float(np.prod([p.a for p in self.parts])))
-        return None
-
-    def __repr__(self):
-        return f"ChainOp({self.parts!r})"
-
-
 def identity_op(dim):
     return ScalarOp(1.0, dim)
 
 
 def op_power(op, n):
-    """n-th power of a square operator, preserving structure where possible."""
+    """n-th power of a square operator: a scalar stays scalar, any other
+    operator becomes the dense power of its matrix."""
     if op.in_dim != op.out_dim:
         raise DimensionError("powers need a square operator")
     if n < 0:
@@ -355,10 +275,6 @@ def op_power(op, n):
         return op
     if isinstance(op, ScalarOp):
         return ScalarOp(op.a**n, op.in_dim)
-    if isinstance(op, DiagonalOp):
-        return DiagonalOp(op.entries**n)
-    if isinstance(op, ShiftPowerOp):
-        return ShiftPowerOp(op.m * n, op.in_dim)
     return DenseOp(np.linalg.matrix_power(op.as_matrix(), n))
 
 
@@ -386,9 +302,10 @@ def op_norm_bound(op, domain, codomain):
 
     Exact for: scaled isometries, any operator out of an l^1-type domain
     (weighted l^1, l^1 or 1-dimensional), max -> max, max -> anything in
-    small dimension, l^2 -> l^2, and diagonal-like operators between
-    identical lp spaces.  Otherwise flagged inexact, with the certified
-    value ||(||A e_j||)_j||_*, the domain's dual norm of the column norms:
+    small dimension, matrices with at most one nonzero per row and column
+    between lp spaces of one p, and l^2 -> l^2.  Otherwise flagged inexact,
+    with the certified value ||(||A e_j||)_j||_*, the domain's dual norm of
+    the column norms:
     ||Ax|| <= sum_j |x_j| ||A e_j|| <= ||x|| ||(||A e_j||)_j||_* (triangle
     inequality, then Holder).
     """
@@ -412,18 +329,14 @@ def op_norm_bound(op, domain, codomain):
             return OperatorNormBound(_corner_max(m, codomain), exact=True)
 
     if (
-        domain.kind == "lp"
-        and codomain.kind == "lp"
+        domain.kind == codomain.kind == "lp"
         and codomain.p == domain.p
-        and isinstance(op, (ScalarOp, DiagonalOp, ShiftPowerOp))
+        and np.all(np.count_nonzero(m, axis=0) <= 1)
+        and np.all(np.count_nonzero(m, axis=1) <= 1)
     ):
-        if isinstance(op, ShiftPowerOp):
-            value = 1.0 if op.m < domain.dim else 0.0
-        elif isinstance(op, ScalarOp):
-            value = abs(op.a)
-        else:
-            value = float(np.max(np.abs(op.entries)))
-        return OperatorNormBound(value, exact=True)
+        # ||Ax||^p sums |a_ij x_j|^p over distinct j, so it is at most
+        # max|a_ij|^p ||x||^p, attained at that column's e_j.
+        return OperatorNormBound(float(np.max(np.abs(m))), exact=True)
 
     if domain.p == codomain.p == 2.0:
         return OperatorNormBound(float(np.linalg.norm(m, 2)), exact=True)
@@ -447,7 +360,7 @@ def restricted_norm_bound(op, subspace, domain, codomain):
         raise DimensionError("operator does not map domain into codomain")
     mask = np.zeros(domain.dim)
     mask[cols] = 1.0
-    part = op_norm_bound(ChainOp([DiagonalOp(mask), op]), domain, codomain)
+    part = op_norm_bound(DenseOp(op.as_matrix() * mask), domain, codomain)
     full = op_norm_bound(op, domain, codomain)
     return part if part.value <= full.value else OperatorNormBound(full.value, exact=False)
 

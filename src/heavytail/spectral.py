@@ -128,8 +128,8 @@ class OperatorFamily:
     ``scalar`` (coefficients a_n), ``embedding`` (the index of z -> z * e_index)
     or ``dense`` (matrices).  ``images``, ``norms`` and ``accumulate`` name a lag by
     its position in ``lags``: one for all rows, or (``images``, ``norms``) one per
-    row.  At one position they equal ``apply`` and ``norm`` byte for byte (chains
-    act via their product matrix); embedding norms build no images.
+    row.  At one position they equal ``apply`` and ``norm`` byte for byte;
+    embedding norms build no images.
     """
 
     ops: dict

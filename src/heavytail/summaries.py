@@ -19,7 +19,6 @@ from .spectral import _mean_with_se, tail_windows
 __all__ = [
     "LinearFunctional",
     "LimitFunctionalResult",
-    "Event",
     "joint_survival_limit",
     "tail_dependence",
     "extremogram_limit",
@@ -65,31 +64,6 @@ class LimitFunctionalResult:
     value: float
     stderr: float
     inputs: dict
-
-
-@dataclass(frozen=True)
-class Event:
-    """Region spec for extremogram events: norm exceedance or open halfspace."""
-
-    kind: str  # "norm_gt" | "halfspace"
-    threshold: float
-    b: tuple | None = None
-
-    def contains(self, values, space):
-        if self.kind == "norm_gt":
-            return space.norm(values) > self.threshold
-        if self.kind == "halfspace":
-            return np.asarray(values) @ np.asarray(self.b, dtype=float) > self.threshold
-        raise DomainError(f"unknown event kind {self.kind!r}")
-
-    def min_norm(self, space):
-        """Largest z with the event contained in {||x|| > z}."""
-        if self.kind == "norm_gt":
-            return self.threshold
-        dual = space.dual_norm(np.asarray(self.b, dtype=float))
-        if dual == 0:
-            raise DomainError("halfspace functional is zero")
-        return self.threshold / dual
 
 
 def _ratio_with_se(num, den):
@@ -171,18 +145,19 @@ def tail_dependence(sampler, h, b=None, mode="dual", n=100_000, *, rng):
     return LimitFunctionalResult(value, se, inputs)
 
 
-def extremogram_limit(sampler, event_a, event_b, h, n=100_000, *, rng):
-    """Extremogram value rho_{A,B}(h) = Pr(Y_0 in A, Y_h in B) over tail windows.
+def extremogram_limit(sampler, threshold_a, threshold_b, h, n=100_000, *, rng):
+    """Extremogram value Pr(||Y_0|| > threshold_a, ||Y_h|| > threshold_b) over
+    tail windows.
 
-    ``event_a`` must be contained in {||x|| > 1}: the conditioning event of
-    the tail process.
+    ``threshold_a`` must be at least 1: the event must lie in {||x|| > 1}, the
+    conditioning event of the tail process.
     """
-    if event_a.min_norm(sampler.space) < 1.0:
+    if threshold_a < 1.0:
         raise DomainError("event A must be bounded away from the unit ball")
     back, fwd = max(0, -h), max(0, h)
     tb = tail_windows(sampler, n, back, fwd, rng)
-    hits = event_a.contains(tb.values_at(0), sampler.space) & event_b.contains(
-        tb.values_at(h), sampler.space
+    hits = (sampler.space.norm(tb.values_at(0)) > threshold_a) & (
+        sampler.space.norm(tb.values_at(h)) > threshold_b
     )
     p = float(hits.mean())
     se = float(np.sqrt(p * (1.0 - p) / n))

@@ -28,7 +28,7 @@ from .estimate import (
     hill_alpha,
 )
 from .rv import Atomic, RegVarDist
-from .spaces import DiagonalOp, max_norm
+from .spaces import DenseOp, max_norm
 from .spectral import (
     PushforwardAngle,
     _mean_with_se,
@@ -166,7 +166,7 @@ def _canonical_tilt_example(alpha):
     space = max_norm(2)
     points = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     weights = np.array([0.5, 0.3, 0.2])
-    operator = DiagonalOp((1.0, 0.5))
+    operator = DenseOp(np.diag([1.0, 0.5]))
     images = operator.apply(points)
     norms = space.norm(images)
     tilted = weights * norms**alpha

@@ -89,6 +89,58 @@ def test_general_operator_family_config():
     assert path.values.shape == (500, 2)
 
 
+def _single_op_family(op, dim):
+    data = json.loads(load_config("ma2").canonical_json())
+    data["norm"] = {"kind": "max", "dim": dim}
+    data["innovation"]["angle"] = {"kind": "sphere_uniform"}
+    data["model"] = {"type": "linear_ops", "operators": [{"index": 0, "op": op}]}
+    return load_config(data).family()
+
+
+SWAP = {"kind": "dense", "matrix": [[0.0, 1.0], [1.0, 0.0]]}
+DIAG = {"kind": "diagonal", "entries": [2.0, 3.0]}
+
+
+@pytest.mark.parametrize("op,dim,want", [
+    (DIAG, 2, np.diag([2.0, 3.0])),
+    ({"kind": "shift_power", "m": 1}, 3, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+    ({"kind": "shift_power", "m": 4}, 3, np.zeros((3, 3))),
+    # parts[0] acts first: swap then scale rows, not the reverse
+    ({"kind": "chain", "parts": [SWAP, DIAG]}, 2, [[0.0, 2.0], [3.0, 0.0]]),
+    ({"kind": "chain", "parts": [DIAG, SWAP]}, 2, [[0.0, 3.0], [2.0, 0.0]]),
+    ({"kind": "chain", "parts": [{"kind": "scalar", "a": 0.5}]}, 2, 0.5 * np.eye(2)),
+], ids=["diagonal", "shift1", "shift_past_dim", "chain_swap_first", "chain_diag_first",
+        "chain_one_part"])
+def test_structured_operator_kinds_build_their_matrix(op, dim, want):
+    fam = _single_op_family(op, dim)
+    assert fam.kind == "dense"
+    np.testing.assert_array_equal(fam.ops[0].as_matrix(), want)
+
+
+def test_shift_power_applies_as_a_truncated_shift():
+    x = [1.0, 2.0, 3.0]
+    shift1 = _single_op_family({"kind": "shift_power", "m": 1}, 3).ops[0]
+    np.testing.assert_array_equal(shift1.apply(x), [0.0, 1.0, 2.0])
+    shift4 = _single_op_family({"kind": "shift_power", "m": 4}, 3).ops[0]
+    np.testing.assert_array_equal(shift4.apply(x), [0.0, 0.0, 0.0])
+
+
+def test_diagonal_ar1_constants_are_closed_form_at_every_lag():
+    # |T^n| = 0.7^n I at every lag, so every c_n is the isometry closed form
+    # and no angle is drawn, whatever the rounding of (-0.7)^n.
+    data = json.loads(load_config("ar1_scalar").canonical_json())
+    data["norm"] = {"kind": "lp", "dim": 3, "p": 3}
+    data["innovation"]["angle"] = {"kind": "sphere_uniform"}
+    data["model"]["operator"] = {"kind": "diagonal", "entries": [0.7, -0.7, 0.7]}
+    cfg = load_config(data)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    consts = heavytail.series_constants(cfg.family(), cfg.innovation(), 1000, rng)
+    assert len(consts.stderr) == cfg.ar1_horizon + 1
+    assert np.all(consts.stderr == 0.0) and np.all(consts.p_stderr == 0.0)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # CLI exit codes and determinism
 
@@ -419,6 +471,9 @@ def _single_op_config(tmp_path, op, dim, **fields):
      {"innovation": {"scale": 1.0, "angle": {
          "kind": "atomic", "points": [[1.0, 0.0], [1.0]], "weights": [0.5, 0.5]}}},
      "atomic angle points rows"),
+    ({"kind": "chain", "parts": [{"kind": "scalar", "a": 0.5},
+                                 {"kind": "diagonal", "entries": [1.0, 2.0, 3.0]}]},
+     {}, "chained operator dimensions do not match"),
 ])
 def test_cli_malformed_operator_or_atoms_is_exit_2(tmp_path, capsys, op, fields, message):
     cfg = _single_op_config(tmp_path, op, 2, **fields)

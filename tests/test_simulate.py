@@ -23,14 +23,11 @@ from heavytail.simulate import (
     write_path_csv,
 )
 from heavytail.spaces import (
-    ChainOp,
     ContractionCertificate,
     DenseOp,
-    DiagonalOp,
     DomainError,
     EmbeddingOp,
     ScalarOp,
-    ShiftPowerOp,
     max_norm,
     weighted_l1_norm,
 )
@@ -246,7 +243,7 @@ AR1_LENGTHS = [1, _AR1_BLOCK - 1, _AR1_BLOCK, _AR1_BLOCK + 1, 3 * _AR1_BLOCK + 1
 @pytest.mark.parametrize(
     "T",
     [DenseOp(BENCH_MATRIX), DenseOp(NON_NORMAL), ScalarOp(0.5, 1), ScalarOp(-0.9, 1),
-     DiagonalOp([0.5, -0.3, 0.9])],
+     DenseOp(np.diag([0.5, -0.3, 0.9]))],
     ids=["bench3", "nonnormal2", "scalar0.5", "scalar-0.9", "diag3"],
 )
 def test_ar1_blocked_recursion_matches_per_step_loop(T, length):
@@ -405,8 +402,8 @@ def _linear_case(name):
         return fam, RegVarDist(1.5, 2.0, Rademacher(0.6))
     space = max_norm(3)
     mix = [[0.5, -0.2, 0.1], [0.0, 0.4, 0.3], [0.2, 0.1, -0.6]]
-    ops = {0: DenseOp(mix), 1: DiagonalOp([1.0, -0.5, 0.25]), 2: ShiftPowerOp(1, 3),
-           3: ChainOp([DenseOp(mix), ShiftPowerOp(1, 3), ScalarOp(0.7, 3)])}
+    ops = {0: DenseOp(mix), 1: DenseOp(np.diag([1.0, -0.5, 0.25])), 2: DenseOp(np.eye(3, k=-1)),
+           3: DenseOp(0.7 * np.eye(3, k=-1) @ mix)}
     return OperatorFamily(ops, space, space, 1.5), RegVarDist(1.5, 1.0, SphereUniform(space))
 
 

@@ -3,14 +3,11 @@ import pytest
 from scipy.optimize import minimize
 
 from heavytail.spaces import (
-    ChainOp,
     DenseOp,
-    DiagonalOp,
     DimensionError,
     DomainError,
     EmbeddingOp,
     ScalarOp,
-    ShiftPowerOp,
     identity_op,
     lp_norm,
     max_norm,
@@ -74,21 +71,15 @@ def test_norm_axioms_random(space):
 def test_apply_examples():
     np.testing.assert_allclose(ScalarOp(2.0, 2).apply([1.0, -1.0]), [2.0, -2.0])
     np.testing.assert_allclose(EmbeddingOp(1, 3).apply([5.0]), [0.0, 5.0, 0.0])
-    np.testing.assert_allclose(
-        ShiftPowerOp(1, 3).apply([1.0, 2.0, 3.0]), [0.0, 1.0, 2.0]
-    )
-    np.testing.assert_allclose(
-        ShiftPowerOp(4, 3).apply([1.0, 2.0, 3.0]), [0.0, 0.0, 0.0]
-    )
 
 
 def _random_ops(rng, dim):
     return [
         ScalarOp(rng.normal(), dim),
-        DiagonalOp(rng.normal(size=dim)),
+        DenseOp(np.diag(rng.normal(size=dim))),
         DenseOp(rng.normal(size=(dim, dim))),
-        ShiftPowerOp(2, dim),
-        ChainOp([DiagonalOp(rng.normal(size=dim)), ShiftPowerOp(1, dim)]),
+        DenseOp(np.eye(dim, k=-2)),
+        DenseOp(np.eye(dim, k=-1) @ np.diag(rng.normal(size=dim))),
     ]
 
 
@@ -113,12 +104,13 @@ def test_apply_matches_matrix():
 def test_op_power_structure():
     assert isinstance(op_power(ScalarOp(0.5, 3), 4), ScalarOp)
     assert op_power(ScalarOp(0.5, 3), 4).a == 0.5**4
-    assert op_power(ShiftPowerOp(1, 5), 3).m == 3
+    np.testing.assert_array_equal(op_power(DenseOp(np.eye(5, k=-1)), 3).as_matrix(),
+                                  np.eye(5, k=-3))
     np.testing.assert_allclose(op_power(ScalarOp(2.0, 2), 0).as_matrix(), np.eye(2))
 
 
 def test_op_norm_bound_examples():
-    b = op_norm_bound(DiagonalOp([2.0, 3.0]), max_norm(2), max_norm(2))
+    b = op_norm_bound(DenseOp(np.diag([2.0, 3.0])), max_norm(2), max_norm(2))
     assert b.value == 3.0 and b.exact
     b = op_norm_bound(ScalarOp(-2.5, 3), lp_norm(3, 2), lp_norm(3, 2))
     assert b.value == 2.5 and b.exact
@@ -132,14 +124,14 @@ def test_restricted_norm_bound_examples():
     w[0] = 1.0
     space = weighted_l1_norm(w)
     # shift^m restricted to the first coordinate has norm w_m
-    b = restricted_norm_bound(ShiftPowerOp(2, 6), {0}, space, space)
+    b = restricted_norm_bound(DenseOp(np.eye(6, k=-2)), {0}, space, space)
     assert b.exact and np.isclose(b.value, w[2])
-    full = restricted_norm_bound(ShiftPowerOp(2, 6), range(6), space, space)
-    assert full.value == op_norm_bound(ShiftPowerOp(2, 6), space, space).value
+    full = restricted_norm_bound(DenseOp(np.eye(6, k=-2)), range(6), space, space)
+    assert full.value == op_norm_bound(DenseOp(np.eye(6, k=-2)), space, space).value
     zero = restricted_norm_bound(DenseOp(np.zeros((6, 6))), {1, 3}, space, space)
     assert zero.value == 0.0 and zero.exact
     with pytest.raises(DomainError):
-        restricted_norm_bound(ShiftPowerOp(1, 6), set(), space, space)
+        restricted_norm_bound(DenseOp(np.eye(6, k=-1)), set(), space, space)
 
 
 def test_restricted_bound_never_exceeds_full():
@@ -152,10 +144,10 @@ def test_restricted_bound_never_exceeds_full():
                 full = op_norm_bound(op, dom, cod)
                 sub = restricted_norm_bound(op, {0, 2}, dom, cod)
                 assert sub.value <= full.value, (dom, cod, op)
-    # The projected bound (2 * 2^(2/3)) exceeds the exact full norm 2 here.
+    # The masked matrix diag(2, 2, 0) has one nonzero per row and column.
     l3 = lp_norm(3, 3)
     b = restricted_norm_bound(ScalarOp(2.0, 3), {0, 1}, l3, l3)
-    assert b.value == 2.0 and not b.exact
+    assert b.value == 2.0 and b.exact
 
 
 def test_closed_form_bounds_are_exact():
@@ -170,6 +162,14 @@ def test_closed_form_bounds_are_exact():
     assert b.exact and b.value == np.linalg.norm(m, 2)
     b = op_norm_bound(op, lp_norm(5, 3), lp_norm(5, 3))
     assert not b.exact and b.value == lp_norm(5, 3).dual_norm(lp_norm(5, 3).norm(m.T))
+    # At most one nonzero per row and column (a scaled permutation with rows
+    # dropped): between lp spaces of one p the norm is the largest ||M e_j||.
+    mono = np.eye(5)[[3, 0, 4, 1, 2]] * rng.normal(size=(5, 1))
+    mono[[1, 3]] = 0.0
+    for space in (lp_norm(5, 1.5), lp_norm(5, 2), lp_norm(5, 3)):
+        b = op_norm_bound(DenseOp(mono), space, space)
+        assert b.exact and b.value == np.max(np.abs(mono))
+        assert b.value == pytest.approx(np.max(space.norm(mono.T)), rel=1e-15)
 
 
 def _nelder_mead_max(m, dom, cod):

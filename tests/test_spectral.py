@@ -5,13 +5,10 @@ from scipy.integrate import quad
 from heavytail import spectral
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.spaces import (
-    ChainOp,
     DenseOp,
-    DiagonalOp,
     DomainError,
     EmbeddingOp,
     ScalarOp,
-    ShiftPowerOp,
     lp_norm,
     max_norm,
     op_power,
@@ -63,13 +60,13 @@ def test_pushforward_constant_atomic_cases():
     space = max_norm(2)
     lam = Atomic([[1.0, 0.0]], [1.0], space)
     base = RegVarDist(1.0, 1.0, lam)
-    c, se = pushforward_constant(DiagonalOp([0.0, 1.0]), base, space)
+    c, se = pushforward_constant(DenseOp(np.diag([0.0, 1.0])), base, space)
     assert (c, se) == (0.0, 0.0)
 
     lam2 = Atomic([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], space)
     base2 = RegVarDist(2.0, 1.0, lam2)
     # oracle: direct average of ||A theta||^alpha over the two atoms
-    A = DiagonalOp([1.0, 0.0])
+    A = DenseOp(np.diag([1.0, 0.0]))
     oracle = 0.5 * space.norm(A.apply(np.array([1.0, 0.0]))) ** 2 + 0.5 * 0.0
     assert oracle == 0.5
     c, se = pushforward_constant(A, base2, space)
@@ -79,7 +76,7 @@ def test_pushforward_constant_atomic_cases():
 def test_pushforward_constant_monte_carlo():
     space = lp_norm(2, 2)
     base = RegVarDist(2.0, 1.0, SphereUniform(space))
-    A = DiagonalOp([1.0, 0.0])
+    A = DenseOp(np.diag([1.0, 0.0]))
     # oracle: E theta_0^2 on the Euclidean circle = 1/2, by quadrature
     oracle = quad(lambda t: np.cos(t) ** 2 / (2 * np.pi), 0, 2 * np.pi)[0]
     c, se = pushforward_constant(A, base, space, n_mc=200_000, rng=np.random.default_rng(3))
@@ -97,7 +94,7 @@ def test_pushforward_sampler_surviving_atom():
     space = max_norm(2)
     lam = Atomic([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5], space)
     base = RegVarDist(1.0, 1.0, lam)
-    push = PushforwardAngle(base, DiagonalOp([1.0, 0.0]), space)
+    push = PushforwardAngle(base, DenseOp(np.diag([1.0, 0.0])), space)
     draws = push.sample(500, np.random.default_rng(6))
     np.testing.assert_allclose(draws, np.tile([1.0, 0.0], (500, 1)))
 
@@ -114,12 +111,12 @@ def test_pushforward_sampler_tilted_mixture():
     lam = Atomic([[1.0, 0.0], [0.5, 1.0]], w, space)
     base = RegVarDist(1.0, 1.0, lam)
     # A = diag(1,0) folds both images onto (1,0): every draw lands there
-    push = PushforwardAngle(base, DiagonalOp([1.0, 0.0]), space)
+    push = PushforwardAngle(base, DenseOp(np.diag([1.0, 0.0])), space)
     draws = push.sample(5000, np.random.default_rng(7))
     np.testing.assert_allclose(draws, np.tile([1.0, 0.0], (5000, 1)))
     # A = diag(1, 0.25) has the same norm tilt (1, 0.5) but distinct images,
     # so the 1/3 source probability is observable from the second coordinate
-    A = DiagonalOp([1.0, 0.25])
+    A = DenseOp(np.diag([1.0, 0.25]))
     v2 = space.norm(A.apply(np.array([[1.0, 0.0], [0.5, 1.0]])))
     np.testing.assert_allclose(v2, v)
     n = 100_000
@@ -134,7 +131,7 @@ def test_pushforward_rejection_exhaustion():
     space = max_norm(2)
     lam = Atomic([[1.0, 0.0], [0.0, 1.0]], [1e-9, 1.0 - 1e-9], space)
     base = RegVarDist(1.0, 1.0, lam)
-    push = PushforwardAngle(base, DiagonalOp([1.0, 0.0]), space, max_trials=10_000)
+    push = PushforwardAngle(base, DenseOp(np.diag([1.0, 0.0])), space, max_trials=10_000)
     with pytest.raises(SamplingError):
         push.sample(1, np.random.default_rng(9))
 
@@ -324,7 +321,7 @@ def test_transformed_iid_base_matches_pushforward():
     base_dist = RegVarDist(1.0, 1.0, lam)
     fam_ops = family_from_coeffs([1.0], 1.0, space)
     iid = LinearProcessSpectral(fam_ops, base_dist)
-    A = DiagonalOp([1.0, 0.25])
+    A = DenseOp(np.diag([1.0, 0.25]))
     tr = TransformedSpectral(iid, A, space)
     wb = tr.sample(50_000, 1, 1, np.random.default_rng(18))
     assert np.all(wb.norm_at(1) == 0.0) and np.all(wb.norm_at(-1) == 0.0)
@@ -609,8 +606,8 @@ def _stacked_case(name):
     if name == "scalar_sphere":
         fam = family_from_coeffs([1.0, 0.6], 1.5, SPACE3)
         return fam, RegVarDist(1.5, 1.0, SphereUniform(SPACE3))
-    ops = {0: DenseOp(MIX3), 1: DiagonalOp([1.0, -0.5, 0.25]), 2: ShiftPowerOp(1, 3),
-           3: ChainOp([DenseOp(MIX3), ShiftPowerOp(1, 3), ScalarOp(0.7, 3)])}
+    ops = {0: DenseOp(MIX3), 1: DenseOp(np.diag([1.0, -0.5, 0.25])), 2: DenseOp(np.eye(3, k=-1)),
+           3: DenseOp(0.7 * np.eye(3, k=-1) @ MIX3)}
     atoms = Atomic([[1.0, 0.0, 0.0], [0.5, -1.0, 0.25], [0.2, 0.3, 1.0]], [0.2, 0.5, 0.3], SPACE3)
     return OperatorFamily(ops, SPACE3, SPACE3, 1.2), RegVarDist(1.2, 1.0, atoms)
 

@@ -5,7 +5,6 @@ from heavytail.rv import Rademacher, RegVarDist
 from heavytail.spaces import DomainError, ScalarOp, max_norm
 from heavytail.spectral import AR1Spectral, LinearProcessSpectral, family_from_coeffs
 from heavytail.summaries import (
-    Event,
     LinearFunctional,
     extremal_index,
     extremogram_limit,
@@ -122,35 +121,27 @@ def test_tail_dependence_undefined_denominator():
 
 def test_extremogram_iid_lag_one():
     s = make_sampler([1.0])
-    a = Event("halfspace", 1.0, b=(1.0,))
-    res = extremogram_limit(s, a, a, 1, n=5000, rng=np.random.default_rng(15))
+    res = extremogram_limit(s, 1.0, 1.0, 1, n=5000, rng=np.random.default_rng(15))
     assert res.value == 0.0
 
 
 def test_extremogram_lag_zero_norm_event():
     s = make_sampler([1.0, 1.0])
-    a = Event("norm_gt", 1.0)
-    res = extremogram_limit(s, a, a, 0, n=5000, rng=np.random.default_rng(16))
+    res = extremogram_limit(s, 1.0, 1.0, 0, n=5000, rng=np.random.default_rng(16))
     assert res.value == pytest.approx(1.0)  # ||Y_0|| = Y > 1 a.s.
 
 
 def test_extremogram_ma2_positive():
     # oracle: Y_1 = Y 1{N=0}; Pr(N=0, Y > 1) = 1/2
     s = make_sampler([1.0, 1.0])
-    a = Event("halfspace", 1.0, b=(1.0,))
-    res = extremogram_limit(s, a, a, 1, n=50_000, rng=np.random.default_rng(27))
+    res = extremogram_limit(s, 1.0, 1.0, 1, n=50_000, rng=np.random.default_rng(27))
     assert abs(res.value - 0.5) < 3 * res.stderr
 
 
 def test_extremogram_requires_bounded_away_event():
     s = make_sampler([1.0])
     with pytest.raises(DomainError):
-        extremogram_limit(s, Event("norm_gt", 0.5), Event("norm_gt", 1.0), 1,
-                          n=100, rng=np.random.default_rng(18))
-    # halfspace {x > 0.5} reaches inside the unit ball (dual norm 1)
-    with pytest.raises(DomainError):
-        extremogram_limit(s, Event("halfspace", 0.5, b=(1.0,)), Event("norm_gt", 1.0),
-                          1, n=100, rng=np.random.default_rng(19))
+        extremogram_limit(s, 0.5, 1.0, 1, n=100, rng=np.random.default_rng(18))
 
 
 # ---------------------------------------------------------------------------
