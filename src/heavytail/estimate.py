@@ -38,7 +38,10 @@ _N_BOOT = 200
 _TD_BLOCK_LEN = 100
 # Draws per big_jump_paired chunk: the unit of its innovation blocks.
 _BIG_JUMP_CHUNK = 1 << 20
-# Rows per block when big_jump_paired norms a chunk's running sum.
+# Rows per slice in which big_jump_paired adds, norms and counts each lag's
+# block and norms the running sum: a slice's norms and counts stay in cache
+# from one pass to the next, and the temporaries stay small next to the
+# running sum.
 _NORM_BLOCK_ROWS = 1 << 16
 
 
@@ -250,12 +253,16 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     family lag; the same draws feed every threshold so comparisons across
     thresholds are paired.  Innovation blocks are drawn from ``rng`` as one
     sequential stream, chunk by chunk of ``_BIG_JUMP_CHUNK`` draws (the last
-    one ragged) and lag by lag.  ``workers > 1`` only
-    overlaps drawing the next block with counting the current one, so the
-    results do not depend on ``workers``.  ``OperatorFamily.accumulate``
-    adds each lag's image to the running sum and returns its norm (an
-    embedding touches one column); each threshold keeps an integer count of
-    single-lag exceedances, so a chunk of m draws needs O(m * (d + #thresholds)) memory.
+    one ragged) and lag by lag; sign innovations of one sign draw no
+    uniforms and advance the stream past them (``Rademacher``).
+    ``workers > 1`` only overlaps drawing the next block on a helper thread
+    with counting the current one, so the results do not depend on
+    ``workers``.  The counting runs slice by slice of ``_NORM_BLOCK_ROWS``
+    rows: ``OperatorFamily.accumulate`` adds the lag's image to the running
+    sum and returns its norm (an embedding touches one column), which joins
+    the sum of norms and each threshold's integer count of single-lag
+    exceedances; the running sum is normed in the same slices once every lag
+    is in.  A chunk of m draws needs O(m * (d + #thresholds)) memory.
     """
     xs = [float(x) for x in xs]
     if any(x < innov.scale for x in xs):
@@ -273,20 +280,20 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
         vec_sum = np.zeros((m, fam.codomain.dim))
         norm_sum = np.zeros(m)
         n_single = np.zeros((nx, m), dtype=count_dtype)
+        row_blocks = [slice(lo, lo + _NORM_BLOCK_ROWS) for lo in range(0, m, _NORM_BLOCK_ROWS)]
         for k in range(len(fam.lags)):
-            nrm = fam.accumulate(vec_sum, k, next(blocks))
-            norm_sum += nrm
-            for i, x in enumerate(xs):
-                n_single[i] += nrm > x
-        for i, x in enumerate(xs):
-            cnt_norm_sum[i] += (norm_sum > x).sum()
-        # ||sum|| in row blocks: its temporaries stay small next to vec_sum
-        for lo in range(0, m, _NORM_BLOCK_ROWS):
-            rows = slice(lo, lo + _NORM_BLOCK_ROWS)
+            z = next(blocks)
+            for rows in row_blocks:
+                nrm = fam.accumulate(vec_sum[rows], k, z[rows])
+                norm_sum[rows] += nrm
+                for i, x in enumerate(xs):
+                    n_single[i, rows] += nrm > x
+        for rows in row_blocks:
             total_norm = fam.codomain.norm(vec_sum[rows])
             for i, x in enumerate(xs):
                 hit = total_norm > x
                 cnt_sum_norm[i] += hit.sum()
+                cnt_norm_sum[i] += (norm_sum[rows] > x).sum()
                 disc[i] += np.abs(hit - n_single[i, rows]).sum()
     results = []
     for i, x in enumerate(xs):

@@ -40,13 +40,31 @@ def pareto_sample(alpha, rng, size=None):
     return y
 
 
+def _skip_uniforms(rng, n):
+    """Leave ``rng`` where ``rng.random(n)`` would, without drawing.
+
+    A float64 uniform is one 64-bit PCG64 step, so PCG64 (what
+    ``default_rng`` builds) is advanced n steps; its buffered half of a
+    32-bit draw, which ``advance`` clears and ``random`` keeps, is put back.
+    Any other generator draws the uniforms and drops them.
+    """
+    bg = getattr(rng, "bit_generator", None)
+    if not isinstance(bg, np.random.PCG64):
+        rng.random(n)
+        return
+    before = bg.state
+    bg.advance(n)
+    if before["has_uint32"]:
+        bg.state = {**bg.state, "has_uint32": 1, "uinteger": before["uinteger"]}
+
+
 class SpectralSampler:
     """Sampler of unit vectors on the sphere of ``space``.
 
     Subclasses implement ``sample(n, rng) -> (n, dim) array`` of unit
     vectors, a new array the caller may overwrite; finite-support samplers
     also expose their atoms so callers can evaluate sphere integrals in
-    closed form.
+    closed form.  ``scaled`` is the one way a radius meets its angle.
     """
 
     space: NormSpec
@@ -54,13 +72,26 @@ class SpectralSampler:
     def sample(self, n, rng):
         raise NotImplementedError
 
+    def scaled(self, radius, rng):
+        """``radius[:, None] * sample(len(radius), rng)``, from the same
+        draws; ``radius`` may be overwritten."""
+        theta = self.sample(len(radius), rng)
+        theta *= radius[:, None]
+        return theta
+
     def atoms(self):
         """Return (points, weights) for finite-support samplers, else None."""
         return None
 
 
 class Rademacher(SpectralSampler):
-    """Signs on the 1-d sphere: +1 with probability p_plus, else -1."""
+    """Signs on the 1-d sphere: +1 with probability p_plus, else -1.
+
+    Row i takes sign -1 when its uniform u_i >= p_plus, one uniform per row.
+    At p_plus 0 or 1 every sign is known, so no uniform is drawn: the stream
+    is advanced past the n uniforms instead, to where drawing would have
+    left it, and the signs are the same as drawn ones.
+    """
 
     def __init__(self, p_plus=0.5):
         if not 0.0 <= p_plus <= 1.0:
@@ -69,8 +100,18 @@ class Rademacher(SpectralSampler):
         self.space = max_norm(1)
 
     def sample(self, n, rng):
-        signs = np.where(rng.random(n) < self.p_plus, 1.0, -1.0)
-        return signs[:, None]
+        return self.scaled(np.ones(n), rng)
+
+    def scaled(self, radius, rng):
+        """Negate ``radius`` in place on the rows of sign -1; return it as a column."""
+        n = len(radius)
+        if self.p_plus in (0.0, 1.0):
+            _skip_uniforms(rng, n)
+            if self.p_plus == 0.0:
+                np.negative(radius, out=radius)
+        else:
+            np.negative(radius, out=radius, where=rng.random(n) >= self.p_plus)
+        return radius[:, None]
 
     def atoms(self):
         return np.array([[1.0], [-1.0]]), np.array([self.p_plus, 1.0 - self.p_plus])
@@ -95,7 +136,8 @@ class SphereUniform(SpectralSampler):
             bad = norms == 0.0
             g[bad] = rng.standard_normal((int(bad.sum()), self.space.dim))
             norms = self.space.norm(g)
-        return g / norms[:, None]
+        g /= norms[:, None]
+        return g
 
 
 class Atomic(SpectralSampler):
@@ -159,10 +201,8 @@ class RegVarDist:
         if u < self.scale:
             raise DomainError(f"threshold {u} below scale {self.scale}")
         radius = pareto_sample(self.alpha, rng, n)
-        radius *= u  # in place, as is the product below: same values, fewer temporaries
-        theta = self.angle.sample(n, rng)
-        theta *= radius[:, None]
-        return theta
+        radius *= u  # in place: the same values, one temporary fewer
+        return self.angle.scaled(radius, rng)
 
     def tail_prob(self, x):
         """Pr(||X|| > x): (x/scale)^(-alpha) above scale, 1 below."""

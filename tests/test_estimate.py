@@ -324,6 +324,8 @@ def test_big_jump_matches_matrix_reference(case, workers, monkeypatch):
         fam, innov, xs = _dense_family()
     n_mc, chunk = 4 * 4096 - 2048, 4096
     monkeypatch.setattr(estimate, "_BIG_JUMP_CHUNK", chunk)
+    # row slices of 1000 split every chunk unevenly, the ragged one too
+    monkeypatch.setattr(estimate, "_NORM_BLOCK_ROWS", 1000)
     got = big_jump_paired(fam, innov, xs, n_mc, np.random.default_rng(23), workers=workers)
     want = _big_jump_reference(fam, innov, xs, n_mc, np.random.default_rng(23), chunk)
     assert got == want

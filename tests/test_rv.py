@@ -155,3 +155,32 @@ def test_in_place_draws_equal_the_plain_expressions(alpha, scale, angle):
     assert got.tobytes() == plain(3.0 * scale, n, np.random.default_rng(92)).tobytes()
     want = (1.0 - np.random.default_rng(93).random(n)) ** (-1.0 / alpha)
     assert pareto_sample(alpha, np.random.default_rng(93), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p_plus", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("bit_gen", [np.random.PCG64, np.random.MT19937])
+def test_sign_kernel_equals_drawn_signs_and_keeps_the_stream(p_plus, bit_gen):
+    # the signs as they were drawn before the kernel: one uniform per row
+    alpha, scale, n = 1.5, 2.0, 10_001
+    dist = RegVarDist(alpha, scale, Rademacher(p_plus))
+    rng, ref = (np.random.Generator(bit_gen(41)) for _ in range(2))
+    got = dist.sample(n, rng)
+    radius = scale * (1.0 - ref.random(n)) ** (-1.0 / alpha)
+    want = (np.where(ref.random(n) < p_plus, 1, -1) * radius)[:, None]
+    assert got.shape == (n, 1) and got.tobytes() == want.tobytes()
+    assert rng.random() == ref.random()
+    signs = Rademacher(p_plus).sample(n, rng)
+    assert signs.tobytes() == np.where(ref.random(n) < p_plus, 1.0, -1.0)[:, None].tobytes()
+    assert rng.random() == ref.random()
+
+
+def test_skipped_signs_keep_a_buffered_32_bit_half():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    for g in (rng, ref):
+        g.integers(0, 2**32, dtype=np.uint32)  # buffers the other half of 64 bits
+    assert rng.bit_generator.state["has_uint32"] == 1
+    Rademacher(1.0).sample(100, rng)
+    ref.random(100)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
+        ref.integers(0, 2**32, size=3, dtype=np.uint32).tolist()

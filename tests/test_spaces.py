@@ -26,6 +26,21 @@ def test_norm_examples():
     assert lp_norm(3, 2).norm([0.0, 0.0, 0.0]) == 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 32, 128])
+def test_max_norm_equals_the_reduction_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    batch = rng.standard_cauchy((501, d))
+    batch[0] = -0.0
+    batch[1, 0], batch[2, -1] = np.inf, -np.inf
+    cases = [batch, batch[7], np.empty((0, d)), rng.standard_normal((5, 3, d)),
+             batch[::3]]
+    for x in cases:
+        got = max_norm(d).norm(x)
+        want = np.max(np.abs(x), axis=-1)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def test_norm_dimension_mismatch():
     with pytest.raises(DimensionError):
         max_norm(2).norm([1.0, 2.0, 3.0])
