@@ -33,7 +33,8 @@ from .verify import SUITES, build_report, report_json, run_suite
 STATS = ("joint-survival", "tail-dep", "extremogram", "extremal-index", "ma-specials")
 
 
-def _resolve_seed(args, cfg_data_seed):
+def _resolve_seed(args):
+    """The --seed flag, else HEAVYTAIL_SEED, else None (the config's seed)."""
     if getattr(args, "seed", None) is not None:
         return int(args.seed)
     env = os.environ.get("HEAVYTAIL_SEED")
@@ -42,16 +43,11 @@ def _resolve_seed(args, cfg_data_seed):
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"HEAVYTAIL_SEED is not an integer: {env!r}") from exc
-    return cfg_data_seed
+    return None
 
 
 def _load(args, extra_overrides=None):
-    overrides = dict(extra_overrides or {})
-    cfg = load_config(args.config, overrides)
-    seed = _resolve_seed(args, cfg.seed)
-    if seed != cfg.seed:
-        cfg = load_config(cfg.data, {"seed": seed})
-    return cfg
+    return load_config(args.config, {**(extra_overrides or {}), "seed": _resolve_seed(args)})
 
 
 def _fmt(value):

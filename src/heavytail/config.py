@@ -9,9 +9,9 @@ moving averages, scalar AR(1), lagged sequence space) ship with the package.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .rv import Atomic, Rademacher, RegVarDist, SphereUniform
@@ -483,12 +483,122 @@ class ModelConfig:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
 
+# Draft-07 keywords that ``_schema_error`` implements, and the ones it skips
+# (``$ref`` reads ``definitions``).  ``additionalProperties`` is implemented for
+# ``false`` only and ``const`` for scalar values only: SCHEMA uses nothing else.
+_KEYWORDS = frozenset({
+    "type", "const", "required", "properties", "additionalProperties", "items",
+    "minItems", "minimum", "maximum", "exclusiveMinimum", "oneOf", "$ref",
+})
+_SKIPPED = frozenset({"$schema", "definitions"})
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+_BOUNDS = {
+    "minimum": (lambda v, b: v >= b, "is less than the minimum of"),
+    "maximum": (lambda v, b: v <= b, "is greater than the maximum of"),
+    "exclusiveMinimum": (lambda v, b: v > b, "is less than or equal to the minimum of"),
+}
+
+
+def _same(value, const):
+    """JSON equality of a scalar: a bool equals only a bool, and 1 == 1.0."""
+    return isinstance(value, bool) == isinstance(const, bool) and value == const
+
+
+def _names_branch(value, branch):
+    """Whether ``value`` carries every ``const`` property of a ``oneOf`` branch
+    (its ``kind`` or ``type``), so the branch is the one it means."""
+    consts = {k: s["const"] for k, s in branch.get("properties", {}).items() if "const" in s}
+    return (isinstance(value, dict) and bool(consts)
+            and all(k in value and _same(value[k], c) for k, c in consts.items()))
+
+
+def _schema_error(value, schema=SCHEMA, path=()):
+    """First ``(path, message)`` at which ``value`` fails ``schema``, or None.
+
+    A walker over the draft-07 keywords in ``_KEYWORDS``, checked in the
+    schema's key order, with jsonschema's semantics and messages: a bool is
+    not a number, 3.0 is an integer, 1 == 1.0 for ``const``, and ``oneOf``
+    needs exactly one passing branch.  A failed ``oneOf`` reports the deepest
+    error among the branches that ``value`` names by its const properties,
+    else that no branch matched.  One deliberate difference: a non-finite
+    number (NaN, Infinity, 1e999 in JSON) fails every numeric type, where
+    jsonschema accepts it.
+    """
+    for key, arg in schema.items():
+        msg, children = None, ()
+        if key == "type":
+            if (arg in ("number", "integer") and isinstance(value, float)
+                    and not math.isfinite(value)):
+                msg = f"{value!r} is not a finite number"
+            elif not _TYPES[arg](value):
+                msg = f"{value!r} is not of type {arg!r}"
+        elif key == "const":
+            if not _same(value, arg):
+                msg = f"{arg!r} was expected"
+        elif key in _BOUNDS:
+            holds, text = _BOUNDS[key]
+            if _TYPES["number"](value) and not holds(value, arg):
+                msg = f"{value!r} {text} {arg!r}"
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                msg = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif key == "required":
+            missing = [k for k in arg if k not in value] if isinstance(value, dict) else []
+            if missing:
+                msg = f"{missing[0]!r} is a required property"
+        elif key == "additionalProperties":
+            known = schema.get("properties", {})
+            extra = sorted((k for k in value if k not in known), key=str) \
+                if isinstance(value, dict) else []
+            if extra:
+                names = ", ".join(repr(k) for k in extra)
+                msg = (f"Additional properties are not allowed "
+                       f"({names} {'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif key == "properties":
+            if isinstance(value, dict):
+                children = [(value[k], sub, path + (k,)) for k, sub in arg.items() if k in value]
+        elif key == "items":
+            if isinstance(value, list):
+                children = [(item, arg, path + (i,)) for i, item in enumerate(value)]
+        elif key == "$ref":  # "#/definitions/..." within SCHEMA
+            target = SCHEMA
+            for part in arg.removeprefix("#/").split("/"):
+                target = target[part]
+            children = [(value, target, path)]
+        elif key == "oneOf":
+            errors = [_schema_error(value, branch, path) for branch in arg]
+            passed = errors.count(None)
+            if passed > 1:
+                msg = f"{value!r} is valid under more than one of the given schemas"
+            elif passed == 0:
+                named = [e for e, b in zip(errors, arg) if _names_branch(value, b)]
+                if named:
+                    return max(named, key=lambda e: len(e[0]))  # the first on ties
+                msg = f"{value!r} is not valid under any of the given schemas"
+        elif key not in _SKIPPED:
+            raise NotImplementedError(f"schema keyword {key!r}")
+        if msg is not None:
+            return path, msg
+        for child in children:
+            err = _schema_error(*child)
+            if err:
+                return err
+    return None
+
+
 def _validate(data):
-    try:
-        jsonschema.validate(data, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from exc
+    err = _schema_error(data)
+    if err:
+        path = "/".join(str(p) for p in err[0]) or "<root>"
+        raise ConfigError(f"config invalid at {path}: {err[1]}")
 
 
 def list_presets():

@@ -222,6 +222,8 @@ class BigJumpResult:
     target: float  # sum_i c_i
     stderr_sum_norm: float
     stderr_norm_sum: float
+    # paired stderr of this discrepancy minus the next threshold's (0.0 at the last)
+    stderr_discrepancy_drop: float
     n_mc: int
 
 
@@ -262,7 +264,10 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     sum and returns its norm (an embedding touches one column), which joins
     the sum of norms and each threshold's integer count of single-lag
     exceedances; the running sum is normed in the same slices once every lag
-    is in.  A chunk of m draws needs O(m * (d + #thresholds)) memory.
+    is in.  The per-draw discrepancies |1(||sum|| > x) - N_x| enter integer
+    sums of squares and of products with the next threshold's, for the
+    paired stderr of each drop in discrepancy.  A chunk of m draws needs
+    O(m * (d + #thresholds)) memory.
     """
     xs = [float(x) for x in xs]
     if any(x < innov.scale for x in xs):
@@ -270,6 +275,7 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     consts = series_constants(fam, innov, n_mc=min(n_mc, 100_000), rng=rng)
     nx = len(xs)
     cnt_sum_norm, cnt_norm_sum, disc = np.zeros((3, nx))
+    disc_sq, disc_next = np.zeros((2, nx), dtype=np.int64)  # disc_next[-1] stays 0
     chunk = _BIG_JUMP_CHUNK
     sizes = [min(chunk, n_mc - done) for done in range(0, n_mc, chunk)]
     # counts of at most len(lags), signed so that hit - count cannot wrap
@@ -290,18 +296,31 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
                     n_single[i, rows] += nrm > x
         for rows in row_blocks:
             total_norm = fam.codomain.norm(vec_sum[rows])
+            prev = None
             for i, x in enumerate(xs):
                 hit = total_norm > x
                 cnt_sum_norm[i] += hit.sum()
                 cnt_norm_sum[i] += (norm_sum[rows] > x).sum()
-                disc[i] += np.abs(hit - n_single[i, rows]).sum()
+                d = np.abs(hit - n_single[i, rows])
+                disc[i] += d.sum()
+                disc_sq[i] += np.multiply(d, d, dtype=np.int64).sum()
+                if prev is not None:
+                    disc_next[i - 1] += np.multiply(prev, d, dtype=np.int64).sum()
+                prev = d
+    tails = [innov.tail_prob(x) for x in xs]
+    if min(tails) <= 0:
+        raise DomainError("marginal tail probability vanishes at the threshold")
     results = []
-    for i, x in enumerate(xs):
-        v = innov.tail_prob(x)
-        if v <= 0:
-            raise DomainError("marginal tail probability vanishes at the threshold")
+    for i, (x, v) in enumerate(zip(xs, tails)):
         p1 = cnt_sum_norm[i] / n_mc
         p2 = cnt_norm_sum[i] / n_mc
+        drop_se = 0.0
+        if i + 1 < nx:  # a draw adds d_i / v - d_{i+1} / w to the drop
+            w = tails[i + 1]
+            mean = (disc[i] / v - disc[i + 1] / w) / n_mc
+            second = (disc_sq[i] / v**2 - 2 * disc_next[i] / (v * w)
+                      + disc_sq[i + 1] / w**2) / n_mc
+            drop_se = float(np.sqrt(max(second - mean**2, 0.0) / n_mc))
         results.append(
             BigJumpResult(
                 x=x,
@@ -311,6 +330,7 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
                 target=float(consts.c_total),
                 stderr_sum_norm=float(np.sqrt(p1 * (1 - p1) / n_mc) / v),
                 stderr_norm_sum=float(np.sqrt(p2 * (1 - p2) / n_mc) / v),
+                stderr_discrepancy_drop=drop_se,
                 n_mc=n_mc,
             )
         )

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 
@@ -9,7 +10,16 @@ import pytest
 
 import heavytail
 from heavytail.cli import main
-from heavytail.config import ConfigError, list_presets, load_config
+from heavytail.config import (
+    SCHEMA,
+    _KEYWORDS,
+    _SKIPPED,
+    _TYPES,
+    ConfigError,
+    _schema_error,
+    list_presets,
+    load_config,
+)
 from heavytail.verify import Check
 
 
@@ -36,6 +46,60 @@ def test_missing_field_names_the_field():
     del data["alpha"]
     with pytest.raises(ConfigError, match="alpha"):
         load_config(data)
+
+
+def _with(cfg, path, value):
+    """A copy of ``cfg``'s data with the entry at ``path`` set to ``value``."""
+    data = json.loads(cfg.canonical_json())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def _schema_nodes(schema):
+    """Every subschema of ``schema``, itself first."""
+    yield schema
+    for key in ("properties", "definitions"):
+        for sub in schema.get(key, {}).values():
+            yield from _schema_nodes(sub)
+    for sub in schema.get("oneOf", []):
+        yield from _schema_nodes(sub)
+    if "items" in schema:
+        yield from _schema_nodes(schema["items"])
+
+
+def test_schema_uses_only_keywords_the_walker_implements():
+    nodes = list(_schema_nodes(SCHEMA))
+    assert len(nodes) > 80  # the walk reached the nested subschemas
+    for node in nodes:
+        assert set(node) <= _KEYWORDS | _SKIPPED, node
+        assert node.get("type", "object") in _TYPES
+        assert node.get("additionalProperties", False) is False
+        const = node.get("const", "")
+        assert isinstance(const, (str, int)) and not isinstance(const, bool)
+        if "$ref" in node:
+            assert node["$ref"].startswith("#/definitions/") and len(node) == 1
+
+
+@pytest.mark.parametrize("path,value,ok", [
+    (("seed",), 3.0, True),  # an integral float is an integer
+    (("seed",), 3.5, False),
+    (("version",), 1.0, True),  # 1 == 1.0 for const
+    (("version",), True, False),  # a bool is not a number
+    (("alpha",), True, False),
+    (("innovation", "angle", "p_plus"), False, False),
+    (("alpha",), float("nan"), False),  # non-finite numbers fail, unlike jsonschema
+    (("alpha",), float("inf"), False),
+    (("innovation", "scale"), float("inf"), False),
+    (("seed",), float("-inf"), False),
+])
+def test_schema_walker_number_semantics(path, value, ok):
+    err = _schema_error(_with(load_config("ma2"), path, value))
+    assert (err is None) == ok
+    if not ok:
+        assert err[0] == path
 
 
 def test_overrides_merge():
@@ -165,6 +229,36 @@ def test_cli_seed_precedence(tmp_path, monkeypatch):
           "--seed", "20260801"])
     assert env.read_bytes() != base.read_bytes()  # env overrides config
     assert flag.read_bytes() == base.read_bytes()  # flag overrides env
+
+
+def test_cli_negative_seed_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", "iid", "--out", str(out), "--seed", "-1"]) == 2
+    assert ("config invalid at seed: -1 is less than the minimum of 0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path,text", [
+    (("alpha",), "NaN"),
+    (("alpha",), "Infinity"),
+    (("alpha",), "1e999"),
+    (("innovation", "scale"), "Infinity"),
+])
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--n", "10", "--window", "1", "1", "--out"],
+    ["verify", "--suite", "time-change", "--workers", "1", "--report"],
+])
+def test_cli_non_finite_number_is_exit_2(tmp_path, capsys, path, text, argv):
+    # a NaN alpha used to end in a traceback ("Probabilities contain NaN") here
+    data = _with(load_config("ar1_scalar"), path, "@")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data).replace('"@"', text))
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(cfg), *argv[1:], str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config invalid at {'/'.join(path)}: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_cli_invalid_config_is_exit_2(tmp_path):
@@ -373,19 +467,31 @@ def test_cli_verify_failure_is_exit_1(tmp_path, monkeypatch):
 
 
 def test_cli_import_leaves_scipy_signal_unloaded(tmp_path):
-    # neither importing the CLI nor simulating a scalar AR(1) path loads it
+    # Neither importing the CLI nor simulating a scalar AR(1) path or sampling
+    # windows loads scipy (or jsonschema); verify imports scipy for its version.
     src = str(pathlib.Path(heavytail.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out_csv = str(tmp_path / "ar1.csv")
+    out_csv, report = str(tmp_path / "out.csv"), str(tmp_path / "r.json")
     code = (
         "import sys, heavytail.cli\n"
-        "rc = heavytail.cli.main(['simulate', '--config', 'ar1_scalar', '--length', '2000',"
-        f" '--out', {out_csv!r}])\n"
-        "print(rc, 'scipy.signal' in sys.modules)"
+        "run = heavytail.cli.main\n"
+        f"rc = [run(['simulate', '--config', 'ar1_scalar', '--length', '2000',"
+        f" '--out', {out_csv!r}]),"
+        f" run(['spectral', '--config', 'seqspace', '--n', '5', '--window', '1', '1',"
+        f" '--out', {out_csv!r}])]\n"
+        "print('loaded', rc, 'scipy' in sys.modules, 'jsonschema' in sys.modules)\n"
+        f"run(['verify', '--config', 'iid', '--suite', 'mixture', '--workers', '1',"
+        f" '--report', {report!r}])\n"
+        "import scipy\n"
+        "print('scipy', scipy.__version__)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip().splitlines()[-1] == "0 False"
+    lines = dict(line.split(" ", 1) for line in out.stdout.splitlines()
+                 if line.startswith(("loaded ", "scipy ")))
+    assert lines["loaded"] == "[0, 0] False False"
+    assert json.loads(pathlib.Path(report).read_text())["environment"]["runtime"] == {
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": lines["scipy"]}
 
 
 def test_cli_big_jump_non_contracting_ar1_is_exit_2(tmp_path, capsys):

@@ -250,6 +250,8 @@ def _big_jump_reference(fam, innov, xs, n_mc, rng, chunk):
     cnt_sum_norm = np.zeros(nx)
     cnt_norm_sum = np.zeros(nx)
     disc = np.zeros(nx)
+    disc_sq = [0] * nx
+    disc_next = [0] * nx
     done = 0
     while done < n_mc:
         m = min(chunk, n_mc - done)
@@ -264,17 +266,30 @@ def _big_jump_reference(fam, innov, xs, n_mc, rng, chunk):
             norm_sum += nrm
             singles[:, j] = nrm
         total_norm = fam.codomain.norm(vec_sum)
+        per_draw = []
         for i, x in enumerate(xs):
             hit = total_norm > x
             cnt_sum_norm[i] += hit.sum()
             cnt_norm_sum[i] += (norm_sum > x).sum()
             disc[i] += np.abs(hit.astype(float) - (singles > x).sum(axis=1)).sum()
+            per_draw.append(np.abs(hit.astype(np.int64) - (singles > x).sum(axis=1)))
+        for i in range(nx):
+            disc_sq[i] += int(per_draw[i] @ per_draw[i])
+            if i + 1 < nx:
+                disc_next[i] += int(per_draw[i] @ per_draw[i + 1])
         done += m
     results = []
     for i, x in enumerate(xs):
         v = innov.tail_prob(x)
         p1 = cnt_sum_norm[i] / n_mc
         p2 = cnt_norm_sum[i] / n_mc
+        drop_se = 0.0
+        if i + 1 < nx:
+            w = innov.tail_prob(xs[i + 1])
+            mean = (disc[i] / v - disc[i + 1] / w) / n_mc
+            second = (disc_sq[i] / v**2 - 2 * disc_next[i] / (v * w)
+                      + disc_sq[i + 1] / w**2) / n_mc
+            drop_se = float(np.sqrt(max(second - mean**2, 0.0) / n_mc))
         results.append(BigJumpResult(
             x=x,
             ratio_sum_norm=float(p1 / v),
@@ -283,6 +298,7 @@ def _big_jump_reference(fam, innov, xs, n_mc, rng, chunk):
             target=float(consts.c_total),
             stderr_sum_norm=float(np.sqrt(p1 * (1 - p1) / n_mc) / v),
             stderr_norm_sum=float(np.sqrt(p2 * (1 - p2) / n_mc) / v),
+            stderr_discrepancy_drop=drop_se,
             n_mc=n_mc,
         ))
     return results
@@ -330,6 +346,8 @@ def test_big_jump_matches_matrix_reference(case, workers, monkeypatch):
     want = _big_jump_reference(fam, innov, xs, n_mc, np.random.default_rng(23), chunk)
     assert got == want
     assert all(r.discrepancy > 0 for r in got[:2])
+    assert all(r.stderr_discrepancy_drop > 0 for r in got[:2])
+    assert got[-1].stderr_discrepancy_drop == 0.0
     single = big_jump_paired(fam, innov, xs[:1], n_mc, np.random.default_rng(23),
                              workers=workers)[0]
     assert single == _big_jump_reference(fam, innov, xs[:1], n_mc,

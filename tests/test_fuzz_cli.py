@@ -1,4 +1,5 @@
-"""Property test: every schema-valid config runs through the CLI or fails cleanly.
+"""Property tests: every schema-valid config runs through the CLI or fails
+cleanly, and the in-house schema walker agrees with jsonschema.
 
 Generated configs cover every norm kind, angle kind, model type and operator
 kind (chains nested), at small Monte Carlo and path sizes.  Each one runs
@@ -9,8 +10,10 @@ values.
 """
 
 import contextlib
+import copy
 import io
 import json
+import math
 import tempfile
 
 import jsonschema
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heavytail.cli import STATS, main
-from heavytail.config import SCHEMA
+from heavytail.config import SCHEMA, _schema_error
 
 WINDOW_SUITES = ("time-change", "mixture", "empirical-vs-closed", "limit-measure")
 
@@ -148,3 +151,67 @@ def test_schema_valid_configs_exit_cleanly(data, command):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error:" in err.getvalue()
+
+
+# Replacement values: other kinds of every oneOf, numbers on either side of
+# every bound, integral floats, bools, and the non-finite floats that Python's
+# json reads from NaN, Infinity and 1e999.
+MUTANTS = [
+    "scalar", "dense", "chain", "embedding", "max", "lp", "weighted_l1", "sphere_uniform",
+    "atomic", "rademacher", "iid", "linear", "ar1", "seqspace", "x",
+    -1, 0, 1, 2, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0, 2**70,
+    True, False, None, [], [1.0], [[1.0]], {}, {"kind": "scalar", "a": 0.5},
+    math.nan, math.inf, -math.inf,
+]
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+def _finite(node):
+    if isinstance(node, dict):
+        return all(_finite(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_finite(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+def _mutate(data, draw):
+    """Replace, delete or add one entry below the root of ``data``, in place."""
+    path = draw(st.sampled_from(list(_paths(data))[1:]))
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    action = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+    if action == "replace":
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(MUTANTS)))
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent[path[-1]], dict):
+        parent[path[-1]][draw(st.sampled_from(["kind", "extra", "dim"]))] = 1
+    elif isinstance(parent[path[-1]], list):
+        parent[path[-1]].append(draw(st.sampled_from(MUTANTS)))
+
+
+VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(data=configs, draw=st.data())
+def test_schema_walker_accepts_what_jsonschema_accepts(data, draw):
+    # the walker rejects non-finite numbers; elsewhere the two agree
+    mutant = copy.deepcopy(data)
+    for _ in range(draw.draw(st.integers(0, 3))):
+        _mutate(mutant, draw.draw)
+    accepted = _schema_error(mutant) is None
+    if _finite(mutant):
+        assert accepted == VALIDATOR.is_valid(mutant)
+    else:
+        assert not accepted
