@@ -90,6 +90,12 @@ def test_schema_uses_only_keywords_the_walker_implements():
     (("version",), True, False),  # a bool is not a number
     (("alpha",), True, False),
     (("innovation", "angle", "p_plus"), False, False),
+    (("innovation", "angle", "p_plus"), 1.5, False),  # maximum
+    (("innovation", "angle", "p_plus"), 1, True),
+    (("alpha",), 0, False),  # exclusiveMinimum
+    (("alpha",), 1e-300, True),
+    (("seed",), 0, True),  # minimum
+    (("model", "coeffs"), [], False),  # minItems
     (("alpha",), float("nan"), False),  # non-finite numbers fail, unlike jsonschema
     (("alpha",), float("inf"), False),
     (("innovation", "scale"), float("inf"), False),
@@ -100,6 +106,20 @@ def test_schema_walker_number_semantics(path, value, ok):
     assert (err is None) == ok
     if not ok:
         assert err[0] == path
+
+
+@pytest.mark.parametrize("norm,where,message", [
+    ({"kind": "weighted_l1", "weights": [1.0, 0.0]}, ("norm", "weights", 1),
+     "0.0 is less than or equal to the minimum of 0"),
+    ({"kind": "weighted_l1", "decay": 0.0, "dim": 3}, ("norm", "decay"),
+     "0.0 is less than or equal to the minimum of 0"),
+    ({"kind": "lp", "dim": 3}, ("norm",), "'p' is a required property"),
+    ({"kind": "l7", "dim": 3}, ("norm",), "is not valid under any of the given schemas"),
+])
+def test_schema_walker_reports_inside_the_named_branch(norm, where, message):
+    # two weighted_l1 branches share their kind: the deeper error wins
+    err = _schema_error(_with(load_config("ma2"), ("norm",), norm))
+    assert err[0] == where and message in err[1]
 
 
 def test_overrides_merge():

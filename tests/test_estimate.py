@@ -314,7 +314,8 @@ def _dense_family():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding", "many_lags"])
+@pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding", "many_lags",
+                                  "int8_counts"])
 def test_big_jump_matches_matrix_reference(case, workers, monkeypatch):
     # chunk 4096 with n_mc = 3.5 chunks exercises a ragged last chunk
     if case == "scalar":
@@ -328,6 +329,11 @@ def test_big_jump_matches_matrix_reference(case, workers, monkeypatch):
     elif case == "many_lags":
         # at x = scale every lag exceeds, so the per-draw count reaches 128
         fam = family_from_coeffs([1.0] * 128, 1.0, R1)
+        innov = RegVarDist(1.0, 1.0, Rademacher(0.5))
+        xs = [1.0, 10.0, 50.0]
+    elif case == "int8_counts":
+        # counts up to 100 fit int8, but their squares do not
+        fam = family_from_coeffs([1.0] * 100, 1.0, R1)
         innov = RegVarDist(1.0, 1.0, Rademacher(0.5))
         xs = [1.0, 10.0, 50.0]
     elif case == "shared_embedding":
