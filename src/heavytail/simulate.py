@@ -52,12 +52,17 @@ _INNOV_STREAM = 0x1A
 # Steps per block of the blocked matrix AR(1) recursion.
 _AR1_BLOCK = 1024
 
-# Rows formatted per string operation by write_csv_rows.
-_CSV_CHUNK_ROWS = 4096
+# Rows formatted per NumPy pass by write_csv_rows.  A pass's byte buffer
+# (one row per output byte position) then stays within a 2 MB L2 cache for
+# rows of up to about 250 bytes; 16384-row passes made the 165-byte rows of
+# an axis-form window CSV half again as slow.
+_CSV_CHUNK_ROWS = 8192
 
-# Fewest rows write_csv_rows gives one process: below it a fork and the copy
-# back of its file cost more than the formatting they take off the caller.
-_CSV_MIN_SLICE_ROWS = 16 * _CSV_CHUNK_ROWS
+# Fewest rows write_csv_rows gives one process.  A fork, its reaping and the
+# copy back of its file cost about 3 ms plus 0.7 ns per byte (a 91 MB
+# process on 2 vCPUs), while formatting takes 0.6 us per path row of 66
+# bytes: a slice pays for its fork from about 5500 rows.
+_CSV_MIN_SLICE_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -267,16 +272,10 @@ def _csv_processes():
     return len(os.sched_getaffinity(0))
 
 
-def _write_rows(stream, row_fmt, columns, fmt_index, lo, hi):
-    """Rows lo..hi-1, formatted ``_CSV_CHUNK_ROWS`` at a time."""
+def _write_rows(stream, rows, lo, hi):
+    """Rows lo..hi-1 of the ``CsvRows`` ``rows``, ``_CSV_CHUNK_ROWS`` at a time."""
     for start in range(lo, hi, _CSV_CHUNK_ROWS):
-        stop = min(start + _CSV_CHUNK_ROWS, hi)
-        chunk = np.column_stack([c[start:stop] for c in columns])
-        if fmt_index is None:
-            fmt = row_fmt * len(chunk)
-        else:
-            fmt = "".join([row_fmt[k] for k in fmt_index[start:stop].tolist()])
-        stream.write(fmt % tuple(chunk.ravel().tolist()))
+        stream.write(rows.text(start, min(start + _CSV_CHUNK_ROWS, hi)))
 
 
 def write_csv_rows(stream, row_fmt, *columns, fmt_index=None):
@@ -286,18 +285,29 @@ def write_csv_rows(stream, row_fmt, *columns, fmt_index=None):
     ``row_fmt`` is a table of row formats and row i is written with
     ``row_fmt[fmt_index[i]]``, so that cells every row of a kind shares (say
     the zeros of a window slot with one nonzero coordinate) are literal
-    text instead of formatted values.  The rows are cut into one
-    contiguous slice per usable CPU (no slice below ``_CSV_MIN_SLICE_ROWS``
-    rows).  On POSIX, one forked child per slice after the first formats it
-    into a temporary file while this process writes slice 0 to ``stream``;
-    the children's files then follow in slice order, and a child that fails
-    raises ``OSError`` here.  Every slice is formatted ``_CSV_CHUNK_ROWS``
-    rows at a time, so only one chunk per process is ever stacked.  The
-    chunk is float64, so integer columns must stay below 2**53 and use
-    ``%d``; the bytes equal each row formatted on its own (``np.savetxt``
-    with the same per-column formats, for one ``row_fmt``), whatever the
-    number of processes.
+    text instead of formatted values.  A row format may convert only with
+    ``%d`` and ``%.17g`` (and write ``%%``), and the formats of a table must
+    have the same sequence of cells; anything else raises ``ValueError``
+    before a byte is written.
+
+    The cells are formatted in NumPy (``_csvformat``), ``_CSV_CHUNK_ROWS``
+    rows at a time, byte for byte as Python's ``%`` formats them: ``%d``
+    takes any integer column exactly (int64 included) and truncates floats
+    toward zero; ``%.17g`` computes the 17 digits of finite |v| in
+    [1e-4, 1e16) exactly and hands every other value (zeros, subnormals,
+    tiny, huge and non-finite ones) to Python's own ``'%.17g'``.  The rows
+    are cut into one contiguous slice per usable CPU (no slice below
+    ``_CSV_MIN_SLICE_ROWS`` rows).  On POSIX, one forked child per slice
+    after the first formats it into a temporary file while this process
+    writes slice 0 to ``stream``; the children's files then follow in slice
+    order, and a child that fails raises ``OSError`` here.  The bytes equal
+    each row formatted on its own (``np.savetxt`` with the same per-column
+    formats, for one ``row_fmt``), whatever the number of processes.
     """
+    # imported here, so that commands writing no CSV neither compile nor build it
+    from ._csvformat import CsvRows
+
+    rows = CsvRows(row_fmt, columns, fmt_index)
     n = len(columns[0])
     procs = max(1, min(_csv_processes(), n // _CSV_MIN_SLICE_ROWS))
     bounds = [n * k // procs for k in range(procs + 1)]
@@ -311,13 +321,13 @@ def write_csv_rows(stream, row_fmt, *columns, fmt_index=None):
             if pid == 0:  # child: never return into the caller
                 code = 1
                 try:
-                    _write_rows(files[-1], row_fmt, columns, fmt_index, lo, hi)
+                    _write_rows(files[-1], rows, lo, hi)
                     files[-1].flush()
                     code = 0
                 finally:
                     os._exit(code)
             pids.append(pid)
-        _write_rows(stream, row_fmt, columns, fmt_index, bounds[0], bounds[1])
+        _write_rows(stream, rows, bounds[0], bounds[1])
         for fh in files:
             _, status = os.waitpid(pids[0], 0)
             pid, code = pids.pop(0), os.waitstatus_to_exitcode(status)

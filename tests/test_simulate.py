@@ -1,16 +1,18 @@
 import io
 import os
+import re
 import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heavytail import simulate
 from heavytail.config import load_config
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.simulate import (
     _AR1_BLOCK,
-    _CSV_CHUNK_ROWS,
     Path,
     PathConfig,
     _ar1_recursion,
@@ -309,7 +311,10 @@ def _savetxt_reference(path):
     return buf.getvalue()
 
 
-CSV_SPECIALS = [1e-300, -1e-300, 1e300, -1e300, -0.0, 0.0, 3.0, -7.0, 2.0**52, 1e16, 0.1]
+CSV_SPECIALS = [1e-300, -1e-300, 1e300, -1e300, -0.0, 0.0, 3.0, -7.0, 2.0**52, 1e16, 0.1,
+                # the edges of the NumPy formatter's fixed-notation range, and a
+                # value halfway between two 17-digit decimals
+                1e-4, np.nextafter(1e-4, 0), np.nextafter(1e16, 0), -1234567890123456.75]
 
 
 def _special_path(length):
@@ -321,7 +326,9 @@ def _special_path(length):
     return Path(values, max_norm(3), {})
 
 
-@pytest.mark.parametrize("length", [1, 7, 2 * _CSV_CHUNK_ROWS + 5])
+# 8197 rows cross a chunk boundary at _CSV_CHUNK_ROWS and at the 4096-row
+# chunks forced below
+@pytest.mark.parametrize("length", [1, 7, 8197])
 def test_path_csv_bytes_match_savetxt(length):
     path = _special_path(length)
     buf = io.StringIO()
@@ -336,7 +343,7 @@ def _assert_no_child_left():
 
 @pytest.mark.parametrize("procs", [1, 2, 3])
 @pytest.mark.parametrize("length,chunk_rows", [(1, 7), (2, 7), (25, 7), (100, 7),
-                                               (2 * _CSV_CHUNK_ROWS + 5, _CSV_CHUNK_ROWS)])
+                                               (8197, 4096)])
 def test_path_csv_bytes_do_not_depend_on_process_count(force_csv_processes, procs, length,
                                                       chunk_rows):
     forks = force_csv_processes(procs, chunk_rows)
@@ -378,6 +385,98 @@ def test_csv_writer_raises_when_a_child_fails(force_csv_processes, monkeypatch):
     with pytest.raises(OSError, match="exited with status 1"):
         write_csv_rows(io.StringIO(), "%.17g\n", np.arange(30.0))
     assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def _printf_reference(row_fmt, *columns):
+    """``row_fmt % row`` for each row, from Python scalars one row at a time."""
+    rows = zip(*(np.column_stack([c]).tolist() for c in columns))
+    return "".join(row_fmt % tuple(v for cells in row for v in cells) for row in rows)
+
+
+def _assert_printf_bytes(row_fmt, *columns):
+    buf = io.StringIO()
+    write_csv_rows(buf, row_fmt, *columns)
+    assert buf.getvalue() == _printf_reference(row_fmt, *columns)
+
+
+POWERS_OF_TEN = [v for k in range(-8, 18) for p in [10.0**k]
+                 for v in (p, np.nextafter(p, 0), np.nextafter(p, np.inf))]
+RANGE_EDGES = [v for edge in (1e-4, 1e16)
+               for v in (edge, np.nextafter(edge, 0), np.nextafter(edge, np.inf))]
+NON_FIXED = [5e-324, -5e-324, 0.0, -0.0, np.inf, -np.inf, np.nan]
+# halfway between two 17-digit decimals: rounded half to even
+TIES = [1234567890123456.75, 1234567890123456.25, 123456789012345.125, 125000000000000.125]
+
+
+@pytest.mark.parametrize("values", [POWERS_OF_TEN, RANGE_EDGES, NON_FIXED, TIES],
+                         ids=["powers_of_ten", "range_edges", "non_fixed", "ties"])
+def test_csv_g_cells_match_printf_on_targeted_values(values):
+    values = np.array(values + [-v for v in values])
+    _assert_printf_bytes("%.17g\n", values)
+    _assert_printf_bytes("%d,%.17g\n", np.arange(len(values)), values)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_csv_g_cells_match_printf(values):
+    _assert_printf_bytes("%.17g,%.17g\n", np.array(values), np.array(values[::-1]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(10**15, 2**53 - 1), st.integers(0, 80)),
+                min_size=1, max_size=40))
+def test_csv_g_cells_match_printf_on_dyadic_values(pairs):
+    # m / 2**j is exact, and many such values fall halfway between two
+    # 17-digit decimals
+    values = np.array([m / 2.0**j for m, j in pairs])
+    _assert_printf_bytes("%.17g\n", np.concatenate([values, -values]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+def test_csv_d_cells_match_printf(values):
+    ints = np.array(values, dtype=np.int64)
+    _assert_printf_bytes("%d;%d\n", ints, ints[::-1].astype(np.int32, casting="unsafe"))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.floats(-2.0**70, 2.0**70), min_size=1, max_size=40))
+def test_csv_d_cells_truncate_floats_as_printf(values):
+    _assert_printf_bytes("%d\n", np.array(values))
+
+
+def test_csv_d_cells_keep_int64_beyond_2_pow_53():
+    # an integer column keeps its exact value next to a float column
+    ints = np.array([2**53 + 1, -(2**62) - 3, 2**63 - 1, -(2**63)], dtype=np.int64)
+    _assert_printf_bytes("%d,%.17g\n", ints, np.full(4, 0.5))
+
+
+def test_csv_writer_writes_nothing_for_no_rows():
+    _assert_printf_bytes("%d,%.17g\n", np.arange(0), np.zeros(0))
+
+
+def test_csv_literal_text_and_percent_signs():
+    _assert_printf_bytes("%% é%d|%.17g%%\n", np.arange(5), np.linspace(-1, 1, 5))
+
+
+@pytest.mark.parametrize("conversion", ["%s", "%.6f", "%x"])
+def test_csv_writer_refuses_other_conversions(force_csv_processes, conversion):
+    forks = force_csv_processes(3)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(conversion))):
+        write_csv_rows(buf, "%d," + conversion + "\n", np.arange(30), np.arange(30.0))
+    assert buf.getvalue() == "" and forks == []
+    _assert_no_child_left()
+
+
+def test_csv_writer_refuses_tables_whose_cells_differ(force_csv_processes):
+    forks = force_csv_processes(3)
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match="differ in their cells"):
+        write_csv_rows(buf, ["%d,%.17g\n", "%.17g,%d\n"], np.arange(30), np.arange(30.0),
+                       fmt_index=np.arange(30) % 2)
+    assert buf.getvalue() == "" and forks == []
     _assert_no_child_left()
 
 
