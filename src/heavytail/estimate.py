@@ -3,20 +3,23 @@
 Conditional-on-exceedance spectral statistics, the empirical tail
 dependence of the first coordinate and the extremal index, the Hill
 tail-index diagnostic, and the paired single-big-jump checks for finite
-operator sums.  Overlapping exceedance windows are kept (dropping them
-biases cluster functionals) and their serial dependence is absorbed into
-block-bootstrap standard errors.
+operator sums, estimated by conditional Monte Carlo over the largest
+term's Pareto radius.  Overlapping exceedance windows are kept (dropping
+them biases cluster functionals) and their serial dependence is absorbed
+into block-bootstrap standard errors.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .rv import pareto_sample
 from .spaces import DomainError
-from .spectral import series_constants
+from .spectral import _tail_constants
 from .windows import WindowBatch
 
 __all__ = [
@@ -36,13 +39,11 @@ _BOOT_SEED = 0xE57
 _N_BOOT = 200
 # Time steps per bootstrap block of the empirical tail dependence.
 _TD_BLOCK_LEN = 100
-# Draws per big_jump_paired chunk: the unit of its innovation blocks.
-_BIG_JUMP_CHUNK = 1 << 20
-# Rows per slice in which big_jump_paired adds, norms and counts each lag's
-# block and norms the running sum: a slice's norms and counts stay in cache
-# from one pass to the next, and the temporaries stay small next to the
-# running sum.
-_NORM_BLOCK_ROWS = 1 << 16
+# Values per big_jump_paired chunk, the unit of its draws: a chunk of rows x
+# lags terms holds about six (terms, dim) image arrays and twenty arrays of
+# one value per term, so it takes _BIG_JUMP_VALUES // max(dim, 4) terms and
+# its arrays stay near 1 MB (256 KB per array of scalars).
+_BIG_JUMP_VALUES = 1 << 17
 
 
 class EstimationError(RuntimeError):
@@ -227,114 +228,142 @@ class BigJumpResult:
     n_mc: int
 
 
-def _prefetched(draw, sizes, workers):
-    """Yield ``draw(m)`` for each m in ``sizes``, in order.
+def _leave_one_out(a, op, identity):
+    """out[i] = op over a[j], j != i, along axis 0: an exclusive prefix
+    combined with an exclusive suffix, never the total less a[i]."""
+    pre, suf = np.empty((2,) + a.shape)
+    pre[0] = suf[-1] = identity
+    for i in range(1, len(a)):  # faster than op.accumulate along axis 0
+        op(pre[i - 1], a[i - 1], out=pre[i])
+        op(suf[-i], a[-i], out=suf[-i - 1])
+    return op(pre, suf, out=pre)
 
-    With ``workers > 1`` one helper thread computes the next draw while the
-    caller works on the current one.  At most one draw is in flight and the
-    calls run in the given order, so a shared random stream is consumed
-    exactly as in the sequential loop.
+
+def _big_jump_terms(fam, innov, xs, tails, radius, theta):
+    """Per-draw conditional values of one chunk, shape (4 * len(xs) - 1, m).
+
+    Rows: ``ratio_sum_norm`` at each threshold, then ``ratio_norm_sum``, then
+    ``discrepancy`` (each over its tail V(x)), then each discrepancy less the
+    next threshold's.  ``radius`` and ``theta`` hold lag k's draws at
+    k * m .. (k + 1) * m - 1.  Lag i adds the probability over its radius R
+    alone that ||R T_i Theta_i|| is the largest image norm and that the event
+    holds; a lag with b = ||T_i Theta_i|| = 0 adds 0 and is left out.
     """
-    if workers <= 1 or len(sizes) < 2:
-        for m in sizes:
-            yield draw(m)
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(draw, sizes[0])
-        for m in sizes[1:]:
-            current = pending.result()
-            pending = pool.submit(draw, m)
-            yield current
-        yield pending.result()
+    nlags, nx = len(fam.lags), len(xs)
+    m = len(radius) // nlags
+    w = fam.images(theta, np.repeat(np.arange(nlags), m))  # T_i Theta_i
+    b = fam.codomain.norm(w)
+    nrm = radius * b  # ||T_i Z_i||
+    v = _leave_one_out((w * radius[:, None]).reshape(nlags, m, -1), np.add, 0.0)
+    top = _leave_one_out(nrm.reshape(nlags, m), np.maximum, 0.0)  # M
+    u = _leave_one_out(nrm.reshape(nlags, m), np.add, 0.0)
+    live = np.flatnonzero(b > 0)
+    draw = live % m
+    w, b, v = w[live], b[live], v.reshape(len(radius), -1)[live]
+    top, u = top.ravel()[live], u.ravel()[live]
+
+    def tail(t):  # P(R > t) for t >= scale
+        return (t / innov.scale) ** -innov.alpha
+
+    low = np.maximum(top / b, innov.scale)  # lag i is the largest iff R > low
+    p_low = tail(low)
+    values = np.empty((4 * nx - 1, m))
+    los, his = fam.codomain.ball_interval(w, v, xs)
+    for i, (x, lo, hi) in enumerate(zip(xs, los, his)):
+
+        def beyond(t, p_t):  # P(R > t, ||R w + v|| > x), [lo, hi] as above
+            return (p_t - tail(np.maximum(lo, t))) + tail(np.maximum(hi, t))
+
+        over = (nrm > x).reshape(nlags, m)
+        n_other = over.sum(axis=0)[draw] - over.ravel()[live]
+        g = beyond(low, p_low)
+        t_x = np.maximum(low, x / b)
+        p_t = tail(t_x)
+        disc = np.where(n_other > 0, (n_other + 1) * p_low - g,
+                        g + p_t - 2.0 * beyond(t_x, p_t))
+        for row, term in zip((i, nx + i, 2 * nx + i),
+                             (g, tail(np.maximum(low, (x - u) / b)), disc)):
+            values[row] = np.bincount(draw, weights=term, minlength=m) / tails[i]
+    values[3 * nx:] = values[2 * nx : 3 * nx - 1] - values[2 * nx + 1 : 3 * nx]
+    return values
 
 
 def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     """Single-big-jump checks at several thresholds from one shared stream.
 
-    Plain Monte Carlo (no importance sampling): per draw, one innovation per
-    family lag; the same draws feed every threshold so comparisons across
-    thresholds are paired.  Innovation blocks are drawn from ``rng`` as one
-    sequential stream, chunk by chunk of ``_BIG_JUMP_CHUNK`` draws (the last
-    one ragged) and lag by lag; sign innovations of one sign draw no
-    uniforms and advance the stream past them (``Rademacher``).
-    ``workers > 1`` only overlaps drawing the next block on a helper thread
-    with counting the current one, so the results do not depend on
-    ``workers``.  The counting runs slice by slice of ``_NORM_BLOCK_ROWS``
-    rows: ``OperatorFamily.accumulate`` adds the lag's image to the running
-    sum and returns its norm (an embedding touches one column), which joins
-    the sum of norms and each threshold's integer count of single-lag
-    exceedances; the running sum is normed in the same slices once every lag
-    is in.  The per-draw discrepancies |1(||sum|| > x) - N_x| enter integer
-    sums of squares and of products with the next threshold's, for the
-    paired stderr of each drop in discrepancy.  A chunk of m draws needs
-    O(m * (d + #thresholds)) memory.
+    Conditional Monte Carlo (Asmussen & Kroese 2006): per draw, one
+    innovation Z_j = R_j Theta_j per family lag, and the same draws feed every
+    threshold, so comparisons across thresholds are paired.  For each lag i the
+    draw conditions on every Z_j with j != i and on Theta_i, and integrates the
+    Pareto radius R_i in closed form over the event that lag i has the largest
+    image norm: with b = ||T_i Theta_i||, v = sum_{j != i} T_j Z_j,
+    M = max_{j != i} ||T_j Z_j|| and [lo, hi] = {r : ||r T_i Theta_i + v|| <= x}
+    (``NormSpec.ball_interval``), each quantity is a difference of Pareto tails.
+    The lags' values sum to the draw's value, and each stderr is the sample SD of
+    the per-draw values over sqrt(n_mc); the discrepancy drop's is that of the
+    per-draw differences.  The target sum(c_n) takes its angle draws (where it
+    needs any) from ``rng`` first.
+
+    Draws come from ``rng`` on the calling thread, chunk by chunk of rows x
+    lags terms (``_BIG_JUMP_VALUES``), all radii of a chunk and then all its
+    angles, lag by lag.  ``workers`` threads evaluate the chunks; each writes
+    its sums and centred sums of squares to its own slot, and the slots are
+    reduced in chunk order at the end, so the results do not depend on
+    ``workers``, and memory stays O(chunk) at any ``n_mc``.
     """
     xs = [float(x) for x in xs]
-    if any(x < innov.scale for x in xs):
-        raise DomainError("thresholds must be at least the innovation scale")
-    consts = series_constants(fam, innov, n_mc=min(n_mc, 100_000), rng=rng)
-    nx = len(xs)
-    cnt_sum_norm, cnt_norm_sum, disc = np.zeros((3, nx))
-    disc_sq, disc_next = np.zeros((2, nx), dtype=np.int64)  # disc_next[-1] stays 0
-    chunk = _BIG_JUMP_CHUNK
-    sizes = [min(chunk, n_mc - done) for done in range(0, n_mc, chunk)]
-    # counts of at most len(lags), signed so that hit - count cannot wrap
-    count_dtype = np.min_scalar_type(-len(fam.lags) - 1)
-    blocks = _prefetched(lambda m: innov.sample(m, rng),
-                         [m for m in sizes for _ in fam.lags], workers)
-    for m in sizes:
-        vec_sum = np.zeros((m, fam.codomain.dim))
-        norm_sum = np.zeros(m)
-        n_single = np.zeros((nx, m), dtype=count_dtype)
-        row_blocks = [slice(lo, lo + _NORM_BLOCK_ROWS) for lo in range(0, m, _NORM_BLOCK_ROWS)]
-        for k in range(len(fam.lags)):
-            z = next(blocks)
-            for rows in row_blocks:
-                nrm = fam.accumulate(vec_sum[rows], k, z[rows])
-                norm_sum[rows] += nrm
-                for i, x in enumerate(xs):
-                    n_single[i, rows] += nrm > x
-        for rows in row_blocks:
-            total_norm = fam.codomain.norm(vec_sum[rows])
-            prev = None
-            for i, x in enumerate(xs):
-                hit = total_norm > x
-                cnt_sum_norm[i] += hit.sum()
-                cnt_norm_sum[i] += (norm_sum[rows] > x).sum()
-                d = np.abs(hit - n_single[i, rows])
-                disc[i] += d.sum()
-                disc_sq[i] += np.multiply(d, d, dtype=np.int64).sum()
-                if prev is not None:
-                    disc_next[i - 1] += np.multiply(prev, d, dtype=np.int64).sum()
-                prev = d
+    if any(not innov.scale <= x < np.inf for x in xs):
+        raise DomainError("thresholds must be finite and at least the innovation scale")
     tails = [innov.tail_prob(x) for x in xs]
     if min(tails) <= 0:
         raise DomainError("marginal tail probability vanishes at the threshold")
-    results = []
-    for i, (x, v) in enumerate(zip(xs, tails)):
-        p1 = cnt_sum_norm[i] / n_mc
-        p2 = cnt_norm_sum[i] / n_mc
-        drop_se = 0.0
-        if i + 1 < nx:  # a draw adds d_i / v - d_{i+1} / w to the drop
-            w = tails[i + 1]
-            mean = (disc[i] / v - disc[i + 1] / w) / n_mc
-            second = (disc_sq[i] / v**2 - 2 * disc_next[i] / (v * w)
-                      + disc_sq[i + 1] / w**2) / n_mc
-            drop_se = float(np.sqrt(max(second - mean**2, 0.0) / n_mc))
-        results.append(
-            BigJumpResult(
-                x=x,
-                ratio_sum_norm=float(p1 / v),
-                ratio_norm_sum=float(p2 / v),
-                discrepancy=float(disc[i] / n_mc / v),
-                target=float(consts.c_total),
-                stderr_sum_norm=float(np.sqrt(p1 * (1 - p1) / n_mc) / v),
-                stderr_norm_sum=float(np.sqrt(p2 * (1 - p2) / n_mc) / v),
-                stderr_discrepancy_drop=drop_se,
-                n_mc=n_mc,
-            )
+    c, _, _ = _tail_constants(fam, innov, 100_000, rng)
+    nlags = len(fam.lags)
+    rows = max(1, _BIG_JUMP_VALUES // max(fam.codomain.dim, 4) // nlags)
+    sizes = np.array([min(rows, n_mc - start) for start in range(0, n_mc, rows)])
+    sums, squares = np.zeros((2, len(sizes), 4 * len(xs) - 1))
+
+    def evaluate(k, radius, theta):
+        with np.errstate(over="ignore"):  # an overflow to inf is the right limit
+            values = _big_jump_terms(fam, innov, xs, tails, radius, theta)
+        if not np.isfinite(values).all():
+            raise DomainError(f"big-jump values are not finite at alpha={innov.alpha:g}")
+        sums[k] = values.sum(axis=1)
+        squares[k] = ((values - (sums[k] / sizes[k])[:, None]) ** 2).sum(axis=1)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for k, m in enumerate(sizes):
+            with np.errstate(over="ignore"):
+                radius = pareto_sample(innov.alpha, rng, m * nlags)
+            if not np.isfinite(radius).all():
+                raise DomainError(
+                    f"drawn Pareto radius is not finite: at alpha={innov.alpha:g} "
+                    "(1-U)**(-1/alpha) overflows float64")
+            radius *= innov.scale
+            pending.append(pool.submit(evaluate, k, radius, innov.angle.sample(m * nlags, rng)))
+            if len(pending) > workers:  # bounds the chunks drawn ahead
+                pending.popleft().result()
+        for job in pending:
+            job.result()
+    mean = sums.sum(axis=0) / n_mc
+    between = sizes[:, None] * (sums / sizes[:, None] - mean) ** 2
+    se = np.sqrt((squares.sum(axis=0) + between.sum(axis=0)) / max(n_mc - 1, 1) / n_mc)
+    nx = len(xs)
+    return [
+        BigJumpResult(
+            x=x,
+            ratio_sum_norm=float(mean[i]),
+            ratio_norm_sum=float(mean[nx + i]),
+            discrepancy=float(mean[2 * nx + i]),
+            target=float(c.sum()),
+            stderr_sum_norm=float(se[i]),
+            stderr_norm_sum=float(se[nx + i]),
+            stderr_discrepancy_drop=float(se[3 * nx + i]) if i + 1 < nx else 0.0,
+            n_mc=n_mc,
         )
-    return results
+        for i, x in enumerate(xs)
+    ]
 
 
 def threshold_sweep(path, stat, quantiles=(0.99, 0.995, 0.999, 0.9995)):

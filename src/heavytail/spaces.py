@@ -141,6 +141,83 @@ class NormSpec:
             a = np.sqrt(a * a) if self.p == 2.0 else (a**self.p) ** (1.0 / self.p)
         return a * self.unit_vector_norms()[index]
 
+    def ball_interval(self, w, v, xs):
+        """Endpoints of {r : ||r w + v|| <= x} for each threshold x in ``xs`` and
+        each row of ``w`` and ``v``: two (len(xs), rows) arrays lo and hi.
+
+        The map r -> ||r w + v|| is convex and, for a nonzero row of ``w`` (every
+        row must be nonzero), grows like |r| ||w||, so the set is a bounded
+        closed interval or empty; an empty set is returned as lo = hi = inf.
+        Closed form for the max norm (the per-coordinate intervals intersected),
+        for l^2 (the roots of a quadratic) and for rows of ``w`` with one nonzero
+        coordinate; other rows bisect the map to a relative 1e-12.
+        """
+        w, v = self._check(w), self._check(v)
+        xs = np.asarray(xs, dtype=float).reshape(-1, 1)
+        if self.kind == "max":
+            lo, hi = _max_ball_interval(w, v, xs)
+        elif self.kind == "lp" and self.p == 2.0:
+            lo, hi = _l2_ball_interval(w, v, xs)
+        else:
+            single = (w != 0).sum(axis=-1) == 1
+            if single.all():
+                lo, hi = self._axis_ball_interval(w, v, xs)
+            else:
+                lo, hi = np.empty((2, len(xs), len(w)))
+                lo[:, single], hi[:, single] = self._axis_ball_interval(
+                    w[single], v[single], xs)
+                lo[:, ~single], hi[:, ~single] = self._bisect_ball_interval(
+                    w[~single], v[~single], xs)
+        empty = ~(lo <= hi)
+        lo[empty] = hi[empty] = np.inf
+        return lo, hi
+
+    def _axis_ball_interval(self, w, v, xs):
+        """``ball_interval`` for an l^p or weighted-l^1 norm where each row of w
+        moves one coordinate k: |y| <= room for y = r w_k + v_k, with ``room`` what
+        the other coordinates of v leave of x."""
+        rows = np.arange(len(w))
+        k = np.argmax(w != 0, axis=-1)
+        wk, vk = w[rows, k], v[rows, k]
+        rest = v.copy()
+        rest[rows, k] = 0.0
+        left = self.norm(rest)
+        if self.kind == "weighted_l1":
+            room = (xs - left) / self.weight_array[k]
+        else:
+            room = xs**self.p - left**self.p
+            room = np.where(room < 0, -1.0, np.abs(room) ** (1.0 / self.p))
+        a, b = (-room - vk) / wk, (room - vk) / wk
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        lo[room < 0] = np.inf  # empty
+        return lo, hi
+
+    def _bisect_ball_interval(self, w, v, xs):
+        """``ball_interval`` of any norm: a ternary search for a minimiser of the
+        convex map inside |r| <= (x + ||v||) / ||w||, then a bisection on each
+        side of it for the crossing of x."""
+        def f(r, rows=slice(None)):
+            return self.norm(r[:, None] * w[rows] + v[rows])
+
+        reach = (xs.max() + self.norm(v)) / self.norm(w)  # beyond it ||r w + v|| > x
+        a, b = -reach, reach
+        for _ in range(70):  # (2/3)^70 < 1e-12
+            m1, m2 = a + (b - a) / 3.0, b - (b - a) / 3.0
+            first = f(m1) <= f(m2)
+            a, b = np.where(first, a, m1), np.where(first, m2, b)
+        mid = 0.5 * (a + b)
+        at_mid = f(mid)
+        lo, hi = np.full((2, len(xs), len(w)), np.inf)
+        for i, x in enumerate(xs[:, 0]):
+            inside = at_mid <= x
+            if inside.any():
+                def f_in(r):
+                    return f(r, inside)
+
+                lo[i, inside] = _bisect_crossing(f_in, -reach[inside], mid[inside], x)
+                hi[i, inside] = _bisect_crossing(f_in, reach[inside], mid[inside], x)
+        return lo, hi
+
     def dual_norm(self, coeffs):
         """Norm of the linear functional x -> sum(coeffs * x) on this space."""
         b = np.asarray(coeffs, dtype=float)
@@ -154,6 +231,49 @@ class NormSpec:
             return float(np.max(np.abs(b)))
         q = self.p / (self.p - 1.0)
         return float(np.sum(np.abs(b) ** q) ** (1.0 / q))
+
+
+def _max_ball_interval(w, v, xs):
+    """``ball_interval`` of the max norm: |r w_c + v_c| <= x for every c."""
+    for j in range(w.shape[-1]):
+        wj, vj = w[:, j], v[:, j]
+        fixed = wj == 0
+        a = (-xs - vj) / np.where(fixed, 1.0, wj)
+        b = (xs - vj) / np.where(fixed, 1.0, wj)
+        lo_j, hi_j = np.minimum(a, b), np.maximum(a, b)
+        if fixed.any():  # no bound on r, or none fits when |v_c| > x
+            lo_j[:, fixed] = np.where(np.abs(vj[fixed]) > xs, np.inf, -np.inf)
+            hi_j[:, fixed] = np.inf
+        lo, hi = (lo_j, hi_j) if j == 0 else (np.maximum(lo, lo_j), np.minimum(hi, hi_j))
+    return lo, hi
+
+
+def _l2_ball_interval(w, v, xs):
+    """``ball_interval`` of the l^2 norm: the roots of
+    r^2 |w|^2 + 2 r <w, v> + |v|^2 - x^2, the smaller one as c / q so that it
+    keeps its digits."""
+    a = np.einsum("ij,ij->i", w, w)
+    h = np.einsum("ij,ij->i", w, v)
+    c = np.einsum("ij,ij->i", v, v) - xs * xs
+    disc = h * h - a * c
+    q = -(h + np.copysign(np.sqrt(np.maximum(disc, 0.0)), h))
+    r1 = q / a
+    r2 = np.divide(c, q, out=r1.copy(), where=q != 0)  # q = 0: the double root 0
+    lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+    lo[disc < 0] = np.inf
+    return lo, hi
+
+
+def _bisect_crossing(f, out, inn, x):
+    """Bisect, row by row, between ``out`` (f > x) and ``inn`` (f <= x) until
+    every bracket is within a relative 1e-12, at most 200 times; the inner ends."""
+    for _ in range(200):
+        if np.all(np.abs(out - inn) <= 1e-12 * np.maximum(np.abs(out), np.abs(inn))):
+            break
+        mid = 0.5 * (out + inn)
+        ok = f(mid) <= x
+        inn, out = np.where(ok, mid, inn), np.where(ok, out, mid)
+    return inn
 
 
 def max_norm(dim):

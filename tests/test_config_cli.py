@@ -4,6 +4,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -524,6 +525,22 @@ def test_cli_big_jump_non_contracting_ar1_is_exit_2(tmp_path, capsys):
                  "--report", str(report)])
     assert code == 2
     assert "no power of the operator has norm bound < 1" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_big_jump_overflow_is_exit_2(tmp_path, capsys):
+    data = json.loads(load_config("ma2").canonical_json())
+    data["alpha"] = 1e-3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--config", str(cfg), "--suite", "big-jump",
+                     "--report", str(report)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "alpha=0.001" in err and "overflows float64" in err
     assert not report.exists()
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from heavytail import estimate
 from heavytail.estimate import (
     BigJumpResult,
     EstimationError,
@@ -205,12 +204,18 @@ def _pareto1_pair_tail(x):
 
 
 def test_big_jump_identity_family():
-    fam = family_from_coeffs([1.0], 1.0, R1)
-    res = big_jump_paired(fam, POS1, [100.0], 10**6, np.random.default_rng(18))[0]
-    assert res.target == 1.0
-    assert abs(res.ratio_sum_norm - 1.0) < 3 * res.stderr_sum_norm
-    assert abs(res.ratio_norm_sum - 1.0) < 3 * res.stderr_norm_sum
-    assert res.discrepancy == 0.0  # a single summand can never disagree
+    # one lag: the sum is the lag's image, so Pr(||a Z|| > x) / V(x) = |a|^alpha
+    # for every draw, and no draw can disagree with its single-lag count
+    for a, alpha in ((1.0, 1.0), (-0.5, 1.5)):
+        fam = family_from_coeffs([a], alpha, R1)
+        innov = RegVarDist(alpha, 1.0, Rademacher(0.3))
+        res = big_jump_paired(fam, innov, [100.0], 1 << 12, np.random.default_rng(18))[0]
+        assert res.target == pytest.approx(abs(a) ** alpha, rel=1e-12)
+        for est, se in ((res.ratio_sum_norm, res.stderr_sum_norm),
+                        (res.ratio_norm_sum, res.stderr_norm_sum)):
+            assert se <= 1e-12
+            assert abs(est - abs(a) ** alpha) <= max(3 * se, 1e-12)
+        assert res.discrepancy == 0.0
 
 
 def test_big_jump_two_terms_matches_exact_convolution():
@@ -220,9 +225,10 @@ def test_big_jump_two_terms_matches_exact_convolution():
     closed = 2.0 / x + 2.0 * np.log(x - 1.0) / x**2
     assert oracle == pytest.approx(closed, rel=1e-9)
     fam = family_from_coeffs([1.0, 1.0], 1.0, R1)
-    res = big_jump_paired(fam, POS1, [x], 10**6, np.random.default_rng(19))[0]
+    res = big_jump_paired(fam, POS1, [x], 1 << 14, np.random.default_rng(19))[0]
     target_ratio = oracle / POS1.tail_prob(x)
-    assert abs(res.ratio_sum_norm - target_ratio) < 3 * res.stderr_sum_norm
+    assert 0 < res.stderr_sum_norm <= 1e-3
+    assert abs(res.ratio_sum_norm - target_ratio) <= 3 * res.stderr_sum_norm
     assert res.target == 2.0
 
 
@@ -235,15 +241,16 @@ def test_big_jump_scaled_family_target():
 
 def test_big_jump_discrepancy_decreases_paired():
     fam = family_from_coeffs([1.0, 1.0], 1.0, R1)
-    near, far = big_jump_paired(fam, POS1, [200.0, 2000.0], 10**6,
+    near, far = big_jump_paired(fam, POS1, [200.0, 2000.0], 1 << 14,
                                 np.random.default_rng(21))
     assert near.discrepancy > 0
-    assert far.discrepancy < near.discrepancy
+    assert near.discrepancy - far.discrepancy >= 5 * near.stderr_discrepancy_drop > 0
 
 
 def _big_jump_reference(fam, innov, xs, n_mc, rng, chunk):
-    """The (m, #lags) single-norm matrix loop that ``big_jump_paired``
-    replaced, kept as the reference for exact equality."""
+    """Plain Monte Carlo of the three big-jump quantities over an (m, #lags)
+    single-norm matrix: the oracle for the conditional estimator.  Also
+    returns the stderr of each discrepancy."""
     consts = series_constants(fam, innov, n_mc=min(n_mc, 100_000), rng=rng)
     lags = fam.indices
     nx = len(xs)
@@ -278,7 +285,7 @@ def _big_jump_reference(fam, innov, xs, n_mc, rng, chunk):
             if i + 1 < nx:
                 disc_next[i] += int(per_draw[i] @ per_draw[i + 1])
         done += m
-    results = []
+    results, disc_se = [], []
     for i, x in enumerate(xs):
         v = innov.tail_prob(x)
         p1 = cnt_sum_norm[i] / n_mc
@@ -290,18 +297,20 @@ def _big_jump_reference(fam, innov, xs, n_mc, rng, chunk):
             second = (disc_sq[i] / v**2 - 2 * disc_next[i] / (v * w)
                       + disc_sq[i + 1] / w**2) / n_mc
             drop_se = float(np.sqrt(max(second - mean**2, 0.0) / n_mc))
+        mean = disc[i] / n_mc / v
+        disc_se.append(float(np.sqrt(max(disc_sq[i] / n_mc / v**2 - mean**2, 0.0) / n_mc)))
         results.append(BigJumpResult(
             x=x,
             ratio_sum_norm=float(p1 / v),
             ratio_norm_sum=float(p2 / v),
-            discrepancy=float(disc[i] / n_mc / v),
+            discrepancy=float(mean),
             target=float(consts.c_total),
             stderr_sum_norm=float(np.sqrt(p1 * (1 - p1) / n_mc) / v),
             stderr_norm_sum=float(np.sqrt(p2 * (1 - p2) / n_mc) / v),
             stderr_discrepancy_drop=drop_se,
             n_mc=n_mc,
         ))
-    return results
+    return results, disc_se
 
 
 def _dense_family():
@@ -313,51 +322,72 @@ def _dense_family():
     return OperatorFamily(ops, space, space, 1.5), innov, [3.0, 20.0, 200.0]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding", "many_lags",
-                                  "int8_counts"])
-def test_big_jump_matches_matrix_reference(case, workers, monkeypatch):
-    # chunk 4096 with n_mc = 3.5 chunks exercises a ragged last chunk
+def _reference_case(case):
     if case == "scalar":
         fam = family_from_coeffs([1.0, 0.5], 2.0, R1)
         innov = RegVarDist(2.0, 1.0, Rademacher(0.7))
-        xs = [2.0, 10.0, 50.0]
-    elif case == "seqspace":
+        return fam, innov, [2.0, 10.0, 50.0]
+    if case == "seqspace":
         fam = sequence_space_family([0.8**n for n in range(8)], 1.0)
-        innov = RegVarDist(1.0, 1.0, Rademacher(0.6))
-        xs = [2.0, 10.0, 50.0]
-    elif case == "many_lags":
-        # at x = scale every lag exceeds, so the per-draw count reaches 128
-        fam = family_from_coeffs([1.0] * 128, 1.0, R1)
-        innov = RegVarDist(1.0, 1.0, Rademacher(0.5))
-        xs = [1.0, 10.0, 50.0]
-    elif case == "int8_counts":
-        # counts up to 100 fit int8, but their squares do not
-        fam = family_from_coeffs([1.0] * 100, 1.0, R1)
-        innov = RegVarDist(1.0, 1.0, Rademacher(0.5))
-        xs = [1.0, 10.0, 50.0]
-    elif case == "shared_embedding":
+        return fam, RegVarDist(1.0, 1.0, Rademacher(0.6)), [2.0, 10.0, 50.0]
+    if case in ("many_lags", "int8_counts"):
+        # at x = scale every lag exceeds, so a draw counts up to 128 (or 100)
+        fam = family_from_coeffs([1.0] * (128 if case == "many_lags" else 100), 1.0, R1)
+        return fam, RegVarDist(1.0, 1.0, Rademacher(0.5)), [1.0, 10.0, 50.0]
+    if case == "shared_embedding":
         # two lags embed onto coordinate 1, so their innovations add there
         ops = {0: EmbeddingOp(1, 3), 1: EmbeddingOp(1, 3), 2: EmbeddingOp(0, 3)}
         fam = OperatorFamily(ops, R1, weighted_l1_norm([1.0, 0.5, 0.25]), 1.5)
-        innov = RegVarDist(1.5, 1.0, Rademacher(0.3))
-        xs = [2.0, 10.0, 50.0]
-    else:
-        fam, innov, xs = _dense_family()
-    n_mc, chunk = 4 * 4096 - 2048, 4096
-    monkeypatch.setattr(estimate, "_BIG_JUMP_CHUNK", chunk)
-    # row slices of 1000 split every chunk unevenly, the ragged one too
-    monkeypatch.setattr(estimate, "_NORM_BLOCK_ROWS", 1000)
-    got = big_jump_paired(fam, innov, xs, n_mc, np.random.default_rng(23), workers=workers)
-    want = _big_jump_reference(fam, innov, xs, n_mc, np.random.default_rng(23), chunk)
-    assert got == want
-    assert all(r.discrepancy > 0 for r in got[:2])
+        return fam, RegVarDist(1.5, 1.0, Rademacher(0.3)), [2.0, 10.0, 50.0]
+    return _dense_family()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["scalar", "dense", "seqspace", "shared_embedding", "many_lags",
+                                  "int8_counts"])
+def test_big_jump_matches_matrix_reference(case, workers):
+    # Conditional Monte Carlo against plain Monte Carlo: each quantity within 4
+    # combined stderrs.  The discrepancy's own stderr is not reported, so the
+    # conditional side takes it from 16 independent batches.
+    fam, innov, xs = _reference_case(case)
+    want, want_disc_se = _big_jump_reference(fam, innov, xs, 1 << 16,
+                                             np.random.default_rng(23), 1 << 13)
+    k = 16
+    batches = [big_jump_paired(fam, innov, xs, 1 << 10, np.random.default_rng([24, i]),
+                               workers=workers) for i in range(k)]
+    got = batches[0]
+    assert got == big_jump_paired(fam, innov, xs, 1 << 10, np.random.default_rng([24, 0]),
+                                  workers=3 - workers)
+    assert got[0].target == pytest.approx(want[0].target, rel=0.02)
+    for i, ref in enumerate(want):
+        for field, se in (("ratio_sum_norm", "stderr_sum_norm"),
+                          ("ratio_norm_sum", "stderr_norm_sum")):
+            est = np.mean([getattr(run[i], field) for run in batches])
+            tol = 4 * np.hypot(getattr(got[i], se) / np.sqrt(k), getattr(ref, se))
+            assert abs(est - getattr(ref, field)) <= tol, (i, field)
+        disc = np.array([run[i].discrepancy for run in batches])
+        tol = 4 * np.hypot(disc.std(ddof=1) / np.sqrt(k), want_disc_se[i])
+        assert abs(disc.mean() - ref.discrepancy) <= tol, (i, "discrepancy")
     assert all(r.stderr_discrepancy_drop > 0 for r in got[:2])
     assert got[-1].stderr_discrepancy_drop == 0.0
-    single = big_jump_paired(fam, innov, xs[:1], n_mc, np.random.default_rng(23),
-                             workers=workers)[0]
-    assert single == _big_jump_reference(fam, innov, xs[:1], n_mc,
-                                         np.random.default_rng(23), chunk)[0]
+
+
+def test_big_jump_zero_family_is_finite():
+    fam = family_from_coeffs([0.0, 0.0], 1.0, R1)
+    with np.errstate(all="raise"):
+        near, far = big_jump_paired(fam, POS1, [10.0, 100.0], 1 << 10,
+                                    np.random.default_rng(25))
+    assert near.target == 0.0
+    for res in (near, far):
+        assert (res.ratio_sum_norm, res.ratio_norm_sum, res.discrepancy) == (0.0, 0.0, 0.0)
+        assert (res.stderr_sum_norm, res.stderr_norm_sum) == (0.0, 0.0)
+
+
+def test_big_jump_overflowing_radius_names_alpha():
+    fam = family_from_coeffs([1.0, 0.5], 1e-3, R1)
+    innov = RegVarDist(1e-3, 1.0, Rademacher(1.0))
+    with np.errstate(all="raise"), pytest.raises(DomainError, match="alpha=0.001"):
+        big_jump_paired(fam, innov, [10.0], 1 << 10, np.random.default_rng(26))
 
 
 def test_big_jump_threshold_below_scale_rejected():

@@ -41,6 +41,52 @@ def test_max_norm_equals_the_reduction_bit_for_bit(d):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
+BALL_SPACES = [max_norm(3), lp_norm(3, 2), lp_norm(3, 1.5), lp_norm(3, 1),
+               weighted_l1_norm([1.0, 0.5, 0.25]), lp_norm(1, 3)]
+
+
+@pytest.mark.parametrize("space", BALL_SPACES,
+                         ids=["max", "l2", "l1.5", "l1", "weighted_l1", "l3_dim1"])
+def test_ball_interval_ends_cross_x(space):
+    # {r : ||r w + v|| <= x} is [lo, hi]: ||r w + v|| = x at both ends and
+    # <= x between them; an empty set (inf, inf) stays above x on a fine grid
+    rng = np.random.default_rng(5)
+    w, v = rng.normal(size=(2, 300, space.dim))
+    v *= 3.0
+    if space.dim > 1:
+        w[:100, 1:] = 0.0  # one moving coordinate
+        w[100:120, 0] = 0.0
+    xs = [2.0, 4.0]
+    lo, hi = space.ball_interval(w, v, xs)
+    assert lo.shape == hi.shape == (2, 300)
+    for i, x in enumerate(xs):
+        ok = np.isfinite(lo[i])
+        assert ok.any() and ok.all() == (space.dim == 1)  # in 1-d, r w + v = 0 for some r
+        for end in (lo[i, ok], hi[i, ok]):
+            np.testing.assert_allclose(space.norm(end[:, None] * w[ok] + v[ok]), x, rtol=1e-9)
+        mid = 0.5 * (lo[i, ok] + hi[i, ok])
+        assert np.all(space.norm(mid[:, None] * w[ok] + v[ok]) <= x)
+        assert np.all(hi[i, ~ok] == np.inf)
+        reach = (x + space.norm(v[~ok])) / space.norm(w[~ok])
+        grid = np.linspace(-1.0, 1.0, 4001)[:, None] * reach
+        f = space.norm(grid[..., None] * w[~ok] + v[~ok])
+        assert np.all(f.min(axis=0) > x)
+
+
+@pytest.mark.parametrize("space", [max_norm(3), lp_norm(3, 2)], ids=["max", "l2"])
+def test_ball_interval_bisection_matches_closed_form(space):
+    rng = np.random.default_rng(6)
+    w, v = rng.normal(size=(2, 200, 3))
+    xs = [1.5, 3.0]
+    want = space.ball_interval(w, v, xs)
+    got = space._bisect_ball_interval(w, v, np.reshape(xs, (-1, 1)))
+    finite = np.isfinite(want[0])
+    assert finite.any() and not finite.all()
+    for a, b in zip(got, want):
+        assert np.array_equal(np.isfinite(a), finite)
+        np.testing.assert_allclose(a[finite], b[finite], rtol=1e-10, atol=1e-12)
+
+
 def test_norm_dimension_mismatch():
     with pytest.raises(DimensionError):
         max_norm(2).norm([1.0, 2.0, 3.0])

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -72,14 +74,31 @@ def test_origin_freq_stderr_adds_the_monte_carlo_error_of_p(source):
                                              rel=1e-12)
 
 
-@pytest.mark.parametrize("preset", ("iid", "ma2", "ma3_positive", "seqspace"))
-def test_big_jump_suite_finite_presets(preset, monkeypatch):
-    # 1e6 draws: max(n_samples, _BIG_JUMP_DRAWS) with the floor lowered
-    monkeypatch.setattr(verify, "_BIG_JUMP_DRAWS", 10**6)
-    cfg = load_config(preset, FAST)
-    checks = suite_big_jump(cfg, workers=1)
+DENSE_AR1 = str(pathlib.Path(__file__).resolve().parents[1] / "bench" / "configs" / "dense_ar1.json")
+
+
+def _assert_big_jump_passes(checks):
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+    drop = checks[2]
+    assert drop.name == "big_jump_discrepancy_decreasing"
+    assert drop.target - drop.estimate >= 5 * drop.stderr
+
+
+@pytest.mark.parametrize("preset", [*list_presets(), DENSE_AR1],
+                         ids=[*list_presets(), "dense_ar1"])
+def test_big_jump_suite_finite_presets(preset):
+    cfg = load_config(preset)
+    checks = suite_big_jump(cfg, workers=1)
+    _assert_big_jump_passes(checks)
     assert suite_big_jump(cfg, workers=2) == checks
+
+
+@pytest.mark.parametrize("offset", [49, 57, 64])
+def test_big_jump_suite_at_bench_seeds(offset):
+    # plain Monte Carlo failed these seeds of ar1_scalar on correct code
+    cfg = load_config("ar1_scalar")
+    cfg = load_config("ar1_scalar", {"seed": cfg.seed + offset})
+    _assert_big_jump_passes(suite_big_jump(cfg, workers=2))
 
 
 @pytest.mark.parametrize("preset", list_presets())
