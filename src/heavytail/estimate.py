@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rv import pareto_sample
 from .spaces import DomainError
 from .spectral import _tail_constants
 from .windows import WindowBatch
@@ -239,27 +238,29 @@ def _leave_one_out(a, op, identity):
     return op(pre, suf, out=pre)
 
 
-def _big_jump_terms(fam, innov, xs, tails, radius, theta):
+def _big_jump_terms(fam, innov, xs, tails, z, radius):
     """Per-draw conditional values of one chunk, shape (4 * len(xs) - 1, m).
 
     Rows: ``ratio_sum_norm`` at each threshold, then ``ratio_norm_sum``, then
     ``discrepancy`` (each over its tail V(x)), then each discrepancy less the
-    next threshold's.  ``radius`` and ``theta`` hold lag k's draws at
-    k * m .. (k + 1) * m - 1.  Lag i adds the probability over its radius R
-    alone that ||R T_i Theta_i|| is the largest image norm and that the event
-    holds; a lag with b = ||T_i Theta_i|| = 0 adds 0 and is left out.
+    next threshold's.  ``z`` holds lag k's innovations at rows
+    k * m .. (k + 1) * m - 1, and ``radius`` their norms.  Lag i adds the
+    probability over its radius R alone that ||R T_i Theta_i|| is the largest
+    image norm and that the event holds; a lag with b = ||T_i Theta_i|| = 0
+    adds 0 and is left out.
     """
     nlags, nx = len(fam.lags), len(xs)
-    m = len(radius) // nlags
-    w = fam.images(theta, np.repeat(np.arange(nlags), m))  # T_i Theta_i
-    b = fam.codomain.norm(w)
-    nrm = radius * b  # ||T_i Z_i||
-    v = _leave_one_out((w * radius[:, None]).reshape(nlags, m, -1), np.add, 0.0)
+    m = len(z) // nlags
+    img = fam.images(z, np.repeat(np.arange(nlags), m))  # T_i Z_i
+    nrm = fam.codomain.norm(img)
+    v = _leave_one_out(img.reshape(nlags, m, -1), np.add, 0.0)
     top = _leave_one_out(nrm.reshape(nlags, m), np.maximum, 0.0)  # M
     u = _leave_one_out(nrm.reshape(nlags, m), np.add, 0.0)
-    live = np.flatnonzero(b > 0)
+    live = np.flatnonzero(nrm > 0)
     draw = live % m
-    w, b, v = w[live], b[live], v.reshape(len(radius), -1)[live]
+    w = img[live] / radius[live, None]  # T_i Theta_i
+    b = nrm[live] / radius[live]
+    v = v.reshape(len(z), -1)[live]
     top, u = top.ravel()[live], u.ravel()[live]
 
     def tail(t):  # P(R > t) for t >= scale
@@ -301,12 +302,13 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     (``NormSpec.ball_interval``), each quantity is a difference of Pareto tails.
     The lags' values sum to the draw's value, and each stderr is the sample SD of
     the per-draw values over sqrt(n_mc); the discrepancy drop's is that of the
-    per-draw differences.  The target sum(c_n) takes its angle draws (where it
-    needs any) from ``rng`` first.
+    per-draw differences.  The target sum(c_n) takes its 100 000 angle draws
+    (where it needs any) from ``rng`` first.  A drawn radius that is not finite
+    (alpha too small for float64) raises DomainError.
 
-    Draws come from ``rng`` on the calling thread, chunk by chunk of rows x
-    lags terms (``_BIG_JUMP_VALUES``), all radii of a chunk and then all its
-    angles, lag by lag.  ``workers`` threads evaluate the chunks; each writes
+    The innovations come from ``rng`` on the calling thread, one
+    ``innov.sample`` of rows x lags per chunk (``_BIG_JUMP_VALUES``), lag by
+    lag; each is split into its radius (its norm) and angle.  ``workers`` threads evaluate the chunks; each writes
     its sums and centred sums of squares to its own slot, and the slots are
     reduced in chunk order at the end, so the results do not depend on
     ``workers``, and memory stays O(chunk) at any ``n_mc``.
@@ -323,9 +325,9 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     sizes = np.array([min(rows, n_mc - start) for start in range(0, n_mc, rows)])
     sums, squares = np.zeros((2, len(sizes), 4 * len(xs) - 1))
 
-    def evaluate(k, radius, theta):
+    def evaluate(k, z, radius):
         with np.errstate(over="ignore"):  # an overflow to inf is the right limit
-            values = _big_jump_terms(fam, innov, xs, tails, radius, theta)
+            values = _big_jump_terms(fam, innov, xs, tails, z, radius)
         if not np.isfinite(values).all():
             raise DomainError(f"big-jump values are not finite at alpha={innov.alpha:g}")
         sums[k] = values.sum(axis=1)
@@ -334,14 +336,14 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for k, m in enumerate(sizes):
-            with np.errstate(over="ignore"):
-                radius = pareto_sample(innov.alpha, rng, m * nlags)
+            with np.errstate(over="ignore", invalid="ignore"):
+                z = innov.sample(m * nlags, rng)
+                radius = innov.space.norm(z)
             if not np.isfinite(radius).all():
                 raise DomainError(
                     f"drawn Pareto radius is not finite: at alpha={innov.alpha:g} "
                     "(1-U)**(-1/alpha) overflows float64")
-            radius *= innov.scale
-            pending.append(pool.submit(evaluate, k, radius, innov.angle.sample(m * nlags, rng)))
+            pending.append(pool.submit(evaluate, k, z, radius))
             if len(pending) > workers:  # bounds the chunks drawn ahead
                 pending.popleft().result()
         for job in pending:

@@ -211,11 +211,9 @@ class NormSpec:
         for i, x in enumerate(xs[:, 0]):
             inside = at_mid <= x
             if inside.any():
-                def f_in(r):
-                    return f(r, inside)
-
-                lo[i, inside] = _bisect_crossing(f_in, -reach[inside], mid[inside], x)
-                hi[i, inside] = _bisect_crossing(f_in, reach[inside], mid[inside], x)
+                lo[i, inside], hi[i, inside] = (
+                    _bisect_crossing(lambda r: f(r, inside), end[inside], mid[inside], x)
+                    for end in (-reach, reach))
         return lo, hi
 
     def dual_norm(self, coeffs):

@@ -51,8 +51,8 @@ _SPECTRAL_STAT_FLOOR = 0.01
 _MC_CHUNK = 1 << 15
 
 # Big-jump draws, whatever the config's n_samples: each conditional draw
-# integrates every lag's radius exactly, so 2^14 put the tail ratios within
-# about 1e-4 of their mean on every preset, far inside their 10% band.
+# integrates every lag's radius exactly, so 2^14 of them give every preset's
+# tail ratios a stderr under 0.1% of the target, far inside their 10% band.
 _BIG_JUMP_DRAWS = 1 << 14
 
 
