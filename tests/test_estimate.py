@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -370,6 +372,22 @@ def test_big_jump_matches_matrix_reference(case, workers):
         assert abs(disc.mean() - ref.discrepancy) <= tol, (i, "discrepancy")
     assert all(r.stderr_discrepancy_drop > 0 for r in got[:2])
     assert got[-1].stderr_discrepancy_drop == 0.0
+
+
+def test_big_jump_more_workers_than_chunks_or_cores():
+    # chunks write their sums to their own slots; a short switch interval
+    # and 8 threads would expose a lost or misplaced write
+    fam = family_from_coeffs([0.5**n for n in range(40)], 1.0, R1)
+    innov = RegVarDist(1.0, 1.0, Rademacher(0.6))
+    want = big_jump_paired(fam, innov, [50.0, 500.0], 1 << 12, np.random.default_rng(27))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = big_jump_paired(fam, innov, [50.0, 500.0], 1 << 12, np.random.default_rng(27),
+                              workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_big_jump_zero_family_is_finite():
