@@ -378,6 +378,9 @@ class LinearProcessSpectral:
         self.consts = series_constants(fam, base, _N_MC_CONSTANTS, rng)
         self._bounds = np.array([fam.norm_bound(lag).value for lag in fam.indices])
         self._lag_p = self._bounds**self.alpha / np.sum(self._bounds**self.alpha)
+        # rng.choice(p=_lag_p) draws searchsorted(cdf, U); built once, not per round
+        self._lag_cdf = self._lag_p.cumsum()
+        self._lag_cdf /= self._lag_cdf[-1]
         self.backward_extent = self.forward_extent = fam.extent
 
     def _window_family(self, top):
@@ -388,7 +391,7 @@ class LinearProcessSpectral:
         """n windows Theta_{-back} .. Theta_{fwd}; in axis form for an embedding family."""
 
         def propose(m, rng):
-            pos = rng.choice(len(self._bounds), size=m, p=self._lag_p)
+            pos = self._lag_cdf.searchsorted(rng.random(m), side="right")
             theta = self.base.angle.sample(m, rng)
             v = self.fam.norms(theta, pos)
             return _tilt_accept(v, self._bounds[pos], self.alpha, rng), (pos, theta, v)
@@ -542,24 +545,29 @@ def _check_vanishing_on_zero_lead(f, back, fwd, space):
         )
 
 
-def time_change_rhs_samples(sampler, f, back, fwd, n, rng):
-    """Per-sample integrand of the time-change right-hand side.
-
-    Each entry is f(Theta_0/||Theta_s||, ..., Theta_{t+s}/||Theta_s||) *
-    ||Theta_s||^alpha with s = back, t = fwd, computed from forward windows
-    only; the integrand is zero where ||Theta_s|| = 0.  The functional must
-    vanish when its leading slot is zero (checked on probe windows).
-    """
-    alpha = sampler.alpha
-    _check_vanishing_on_zero_lead(f, back, fwd, sampler.space)
-    wb = sampler.sample(n, 0, back + fwd, rng)
+def _time_change_integrands(wb, fs, back, alpha):
+    """Column j is f_j(Theta_0/||Theta_s||, ..., Theta_{t+s}/||Theta_s||) *
+    ||Theta_s||^alpha, s = back, over one forward batch ``wb`` (Theta_0 ..
+    Theta_{t+s}), divided once for all functionals; zero where ||Theta_s|| = 0.
+    Each f must vanish when its leading slot is zero (checked on probes)."""
+    for f in fs:
+        _check_vanishing_on_zero_lead(f, back, wb.fwd - back, wb.space)
     ns = wb.norm_at(back)
     nz = ns > 0
-    out = np.zeros(n)
+    out = np.zeros((len(wb), len(fs)))
     if np.any(nz):
         shifted = wb.divided(nz, ns[nz], back)
-        out[nz] = np.asarray(f(shifted), dtype=float) * ns[nz] ** alpha
+        weight = ns[nz] ** alpha
+        for j, f in enumerate(fs):
+            out[nz, j] = np.asarray(f(shifted), dtype=float) * weight
     return out
+
+
+def time_change_rhs_samples(sampler, f, back, fwd, n, rng):
+    """Per-sample integrand of the time-change right-hand side: n forward
+    windows Theta_0 .. Theta_{back+fwd}, then ``_time_change_integrands``."""
+    wb = sampler.sample(n, 0, back + fwd, rng)
+    return _time_change_integrands(wb, [f], back, sampler.alpha)[:, 0]
 
 
 def time_change_rhs(sampler, f, back, fwd, n, rng):

@@ -5,7 +5,9 @@ config and emits named checks (estimate, target, stderr, tolerance rule,
 pass/fail).  Monte Carlo work is cut into chunks of a fixed size, each
 drawing from its own stream derived from the master seed by counter, and
 joined in chunk order; ``workers`` threads only schedule the chunks, so a
-report is a deterministic function of (config, seed).
+report is a deterministic function of (config, seed).  The time-change suite
+draws two such streams, backward (2, 1) windows on tag 1000 and forward (0, 2)
+windows on tag 1001: the checks of one side share its n draws.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .spaces import DenseOp, DomainError, max_norm
 from .spectral import (
     PushforwardAngle,
     _mean_with_se,
+    _time_change_integrands,
     limit_measure_samples,
-    time_change_rhs_samples,
 )
 from .summaries import _ratio_with_se
 
@@ -126,34 +128,33 @@ def _tc_battery(space, s, t, alpha):
 
 def suite_time_change(cfg, workers=1):
     """Backward-window expectations against their forward-window tilted form,
-    plus the degenerate-past identity Pr(Theta_{-s} != 0) = E ||Theta_s||^alpha."""
+    plus the degenerate-past identity Pr(Theta_{-s} != 0) = E ||Theta_s||^alpha.
+
+    Backward (2, 1) windows on tag 1000 give every left-hand side and forward
+    (0, 2) windows on tag 1001 every right-hand side: a side's checks share
+    its draws, and each check still has n per side."""
     sampler = cfg.window_sampler()
     alpha = cfg.alpha
-    n = cfg.n_samples
-    tags = itertools.count(1000)
+    battery = _tc_battery(sampler.space, 1, 1, alpha)
+    fs = [f for _, f in battery]
+
+    def backward(k, rng):
+        wb = sampler.sample(k, 2, 1, rng)
+        return np.column_stack([f(wb) for f in fs] + [wb.norm_at(-1) > 0, wb.norm_at(-2) > 0])
+
+    def forward(k, rng):
+        wb = sampler.sample(k, 0, 2, rng)
+        return np.column_stack([_time_change_integrands(wb, fs, 1, alpha),
+                                wb.norm_at(1) ** alpha, wb.norm_at(2) ** alpha])
+
+    lhs = _mc_values(backward, cfg.n_samples, workers, cfg.seed, 1000)
+    rhs = _mc_values(forward, cfg.n_samples, workers, cfg.seed, 1001)
+    names = [f"time_change[{label},s=1,t=1]" for label, _ in battery]
+    names += [f"degenerate_past[s={s}]" for s in (1, 2)]
     checks = []
-    s, t = 1, 1
-    for label, f in _tc_battery(sampler.space, s, t, alpha):
-        lhs = _mc_values(
-            lambda k, rng: f(sampler.sample(k, s, t, rng)), n, workers, cfg.seed, next(tags)
-        )
-        rhs = _mc_values(
-            lambda k, rng: time_change_rhs_samples(sampler, f, s, t, k, rng),
-            n, workers, cfg.seed, next(tags),
-        )
-        (lm, ls), (rm, rs) = _mean_with_se(lhs), _mean_with_se(rhs)
-        checks.append(_check_3se(f"time_change[{label},s={s},t={t}]", lm, rm, ls, rs))
-    for s_lag in (1, 2):
-        lhs = _mc_values(
-            lambda k, rng: (sampler.sample(k, s_lag, 0, rng).norm_at(-s_lag) > 0).astype(float),
-            n, workers, cfg.seed, next(tags),
-        )
-        rhs = _mc_values(
-            lambda k, rng: sampler.sample(k, 0, s_lag, rng).norm_at(s_lag) ** alpha,
-            n, workers, cfg.seed, next(tags),
-        )
-        (lm, ls), (rm, rs) = _mean_with_se(lhs), _mean_with_se(rhs)
-        checks.append(_check_3se(f"degenerate_past[s={s_lag}]", lm, rm, ls, rs))
+    for j, name in enumerate(names):
+        (lm, ls), (rm, rs) = _mean_with_se(lhs[:, j]), _mean_with_se(rhs[:, j])
+        checks.append(_check_3se(name, lm, rm, ls, rs))
     return checks
 
 

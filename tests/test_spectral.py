@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from heavytail import spectral
+from heavytail.config import list_presets, load_config
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.spaces import (
     DenseOp,
@@ -808,6 +809,17 @@ def test_joint_rejection_acceptance_rate_is_ratio_of_sums(monkeypatch):
     # given the proposed lag, acceptance is c_n / B_n^alpha
     np.testing.assert_allclose(list(sampler.acceptance_rates().values()),
                                sampler.consts.c / bounds**fam.alpha, rtol=1e-15)
+
+
+@pytest.mark.parametrize("preset", list_presets())
+def test_lag_cdf_draws_equal_rng_choice(preset):
+    # sample() draws its lag positions from a CDF built once, as rng.choice does per call
+    sampler = load_config(preset).window_sampler()
+    for seed in range(50):
+        want = np.random.default_rng(seed).choice(len(sampler._lag_p), 36_000, p=sampler._lag_p)
+        u = np.random.default_rng(seed).random(36_000)
+        got = sampler._lag_cdf.searchsorted(u, side="right")
+        assert got.dtype == want.dtype and _bits(got) == _bits(want)
 
 
 class _FixedBatch:

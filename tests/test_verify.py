@@ -6,6 +6,7 @@ import pytest
 from heavytail import verify
 from heavytail.config import list_presets, load_config
 from heavytail.estimate import empirical_tail_dependence, threshold_sweep
+from heavytail.spectral import time_change_rhs_samples
 from heavytail.verify import (
     build_report,
     report_json,
@@ -16,6 +17,7 @@ from heavytail.verify import (
     suite_mixture,
     suite_time_change,
 )
+from test_spectral import _FixedBatch, _bits
 
 FAST = {"mc": {"n_samples": 20_000}}
 
@@ -35,6 +37,50 @@ def test_time_change_suite_weak_scalar_ar1():
                                                "operator": {"kind": "scalar", "a": 0.95}}})
     checks = {c.name: c for c in suite_time_change(cfg)}
     assert checks["degenerate_past[s=1]"].passed, checks["degenerate_past[s=1]"]
+
+
+class _ShapeBatches:
+    """A window sampler that returns one prepared batch per window shape."""
+
+    def __init__(self, batches, sampler):
+        self.batches, self.alpha, self.space = batches, sampler.alpha, sampler.space
+
+    def sample(self, n, back, fwd, rng):
+        return self.batches[back, fwd]
+
+
+@pytest.mark.parametrize("source", ["ma2", "seqspace", "dense_sphere"])
+def test_time_change_suite_columns_share_one_batch_per_side(source, monkeypatch):
+    cfg = load_config(DENSE_SPHERE if source == "dense_sphere" else source, FAST)
+    sampler = cfg.window_sampler()
+    bwd = sampler.sample(5000, 2, 1, np.random.default_rng(60))
+    fwd = sampler.sample(5000, 0, 2, np.random.default_rng(61))
+    assert (bwd.coord is not None) == (fwd.coord is not None) == (source == "seqspace")
+    monkeypatch.setattr(cfg, "window_sampler", lambda: _ShapeBatches({(2, 1): bwd, (0, 2): fwd},
+                                                                     sampler))
+    columns = {}
+
+    def capture(task, n, workers, seed, tag):
+        columns[tag] = np.asarray(task(n, None), dtype=float)
+        return columns[tag]
+
+    monkeypatch.setattr(verify, "_mc_values", capture)
+    checks = suite_time_change(cfg)
+    assert [c.name for c in checks] == [
+        "time_change[clip_lead,s=1,t=1]", "time_change[clip_lead_x_clip_fwd,s=1,t=1]",
+        "time_change[ind_lead_x_clip_fwd,s=1,t=1]", "degenerate_past[s=1]",
+        "degenerate_past[s=2]",
+    ]
+    lhs, rhs = columns.pop(1000), columns.pop(1001)
+    assert not columns and lhs.shape == rhs.shape == (5000, 5)
+    alpha = sampler.alpha
+    for j, (label, f) in enumerate(verify._tc_battery(sampler.space, 1, 1, alpha)):
+        assert _bits(lhs[:, j]) == _bits(np.asarray(f(bwd), dtype=float)), label
+        want = time_change_rhs_samples(_FixedBatch(fwd, alpha), f, 1, 1, 5000, None)
+        assert _bits(rhs[:, j]) == _bits(want), label
+    for j, s in ((3, 1), (4, 2)):
+        assert _bits(lhs[:, j]) == _bits((bwd.norm_at(-s) > 0).astype(float))
+        assert _bits(rhs[:, j]) == _bits(fwd.norm_at(s) ** alpha)
 
 
 @pytest.mark.parametrize("preset", list_presets())
