@@ -40,44 +40,19 @@ def pareto_sample(alpha, rng, size=None):
     return y
 
 
-def _skip_uniforms(rng, n):
-    """Leave ``rng`` where ``rng.random(n)`` would, without drawing.
-
-    A float64 uniform is one 64-bit PCG64 step, so PCG64 (what
-    ``default_rng`` builds) is advanced n steps; its buffered half of a
-    32-bit draw, which ``advance`` clears and ``random`` keeps, is put back.
-    Any other generator draws the uniforms and drops them.
-    """
-    bg = getattr(rng, "bit_generator", None)
-    if not isinstance(bg, np.random.PCG64):
-        rng.random(n)
-        return
-    before = bg.state
-    bg.advance(n)
-    if before["has_uint32"]:
-        bg.state = {**bg.state, "has_uint32": 1, "uinteger": before["uinteger"]}
-
-
 class SpectralSampler:
     """Sampler of unit vectors on the sphere of ``space``.
 
     Subclasses implement ``sample(n, rng) -> (n, dim) array`` of unit
     vectors, a new array the caller may overwrite; finite-support samplers
     also expose their atoms so callers can evaluate sphere integrals in
-    closed form.  ``scaled`` is the one way a radius meets its angle.
+    closed form.
     """
 
     space: NormSpec
 
     def sample(self, n, rng):
         raise NotImplementedError
-
-    def scaled(self, radius, rng):
-        """``radius[:, None] * sample(len(radius), rng)``, from the same
-        draws; ``radius`` may be overwritten."""
-        theta = self.sample(len(radius), rng)
-        theta *= radius[:, None]
-        return theta
 
     def atoms(self):
         """Return (points, weights) for finite-support samplers, else None."""
@@ -87,10 +62,8 @@ class SpectralSampler:
 class Rademacher(SpectralSampler):
     """Signs on the 1-d sphere: +1 with probability p_plus, else -1.
 
-    Row i takes sign -1 when its uniform u_i >= p_plus, one uniform per row.
-    At p_plus 0 or 1 every sign is known, so no uniform is drawn: the stream
-    is advanced past the n uniforms instead, to where drawing would have
-    left it, and the signs are the same as drawn ones.
+    Row i takes sign -1 when its uniform u_i >= p_plus: one uniform per row,
+    also at p_plus 0 and 1.
     """
 
     def __init__(self, p_plus=0.5):
@@ -100,18 +73,7 @@ class Rademacher(SpectralSampler):
         self.space = max_norm(1)
 
     def sample(self, n, rng):
-        return self.scaled(np.ones(n), rng)
-
-    def scaled(self, radius, rng):
-        """Negate ``radius`` in place on the rows of sign -1; return it as a column."""
-        n = len(radius)
-        if self.p_plus in (0.0, 1.0):
-            _skip_uniforms(rng, n)
-            if self.p_plus == 0.0:
-                np.negative(radius, out=radius)
-        else:
-            np.negative(radius, out=radius, where=rng.random(n) >= self.p_plus)
-        return radius[:, None]
+        return np.where(rng.random(n) < self.p_plus, 1.0, -1.0)[:, None]
 
     def atoms(self):
         return np.array([[1.0], [-1.0]]), np.array([self.p_plus, 1.0 - self.p_plus])
@@ -202,7 +164,9 @@ class RegVarDist:
             raise DomainError(f"threshold {u} below scale {self.scale}")
         radius = pareto_sample(self.alpha, rng, n)
         radius *= u  # in place: the same values, one temporary fewer
-        return self.angle.scaled(radius, rng)
+        x = self.angle.sample(n, rng)
+        x *= radius[:, None]
+        return x
 
     def tail_prob(self, x):
         """Pr(||X|| > x): (x/scale)^(-alpha) above scale, 1 below."""

@@ -335,26 +335,6 @@ class PushforwardAngle(SpectralSampler):
         )
         return image / v[:, None]
 
-    def atoms(self):
-        base_atoms = self.base.angle.atoms()
-        if base_atoms is None:
-            return None
-        points, weights = base_atoms
-        image = self.operator.apply(points)
-        v = self.space.norm(image)
-        keep = v > 0
-        if not np.any(keep):
-            return None
-        tilted = weights[keep] * v[keep] ** self.alpha
-        units = image[keep] / v[keep, None]
-        merged = {}
-        for pt, w in zip(units, tilted):
-            key = tuple(np.round(pt, 12))
-            merged[key] = merged[key] + w if key in merged else w
-        pts = np.array(list(merged))
-        w = np.array(list(merged.values()))
-        return pts, w / w.sum()
-
 
 class LinearProcessSpectral:
     """Window sampler for the spectral process of X_t = sum_i T_i Z_{t-i}.

@@ -92,17 +92,23 @@ def _check_rel(name, estimate, target, rel, se):
 
 
 def _mc_values(task, n, workers, seed, tag):
-    """Concatenate task(k, rng) values over chunks of ``_MC_CHUNK`` rows (the
-    last one ragged), in chunk order.  Chunk i draws from stream
-    [seed, tag, i]; ``workers`` only sets how many chunks run at once."""
-    sizes = [min(_MC_CHUNK, n - start) for start in range(0, n, _MC_CHUNK)]
+    """Stack task(k, rng) values over chunks of ``_MC_CHUNK`` rows (the last
+    one ragged), in chunk order, each written into one (n, ...) result as it
+    arrives.  Chunk i draws from stream [seed, tag, i]; ``workers`` only sets
+    how many chunks run at once."""
+    starts = range(0, n, _MC_CHUNK)
 
     def run(i):
         rng = np.random.default_rng([int(seed), int(tag), i])
-        return np.asarray(task(sizes[i], rng), dtype=float)
+        return np.asarray(task(min(_MC_CHUNK, n - starts[i]), rng), dtype=float)
 
+    out = None
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(run, range(len(sizes)))))
+        for start, block in zip(starts, pool.map(run, range(len(starts)))):
+            if out is None:
+                out = np.empty((n,) + block.shape[1:])
+            out[start:start + len(block)] = block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +433,6 @@ def run_suite(cfg, suite, workers=1):
 
 def build_report(checks, cfg, suite):
     """Report dict with stable key order; bytes depend only on (config, seed)."""
-    import scipy  # only its version is read, so simulate and spectral never load it
-
     return {
         "suite": suite,
         "checks": [
@@ -449,7 +453,6 @@ def build_report(checks, cfg, suite):
             "runtime": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
             },
         },
     }

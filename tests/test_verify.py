@@ -6,7 +6,7 @@ import pytest
 from heavytail import verify
 from heavytail.config import list_presets, load_config
 from heavytail.estimate import empirical_tail_dependence, threshold_sweep
-from heavytail.spectral import time_change_rhs_samples
+from heavytail.spectral import limit_measure_samples, time_change_rhs_samples
 from heavytail.verify import (
     build_report,
     report_json,
@@ -163,6 +163,24 @@ def test_limit_measure_suite_all_presets(preset):
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
 
 
+@pytest.mark.parametrize("preset", [*list_presets(), DENSE_AR1],
+                         ids=[*list_presets(), "dense_ar1"])
+def test_limit_measure_values_are_identities_of_the_radial_evaluator(preset):
+    # Per window, a one-lag value is r^-alpha (as ||Theta_0|| = 1) and 2^alpha f(2, 2)
+    # is f(1, 1) on the same stream, up to rounding: the suite's k1 and k2 checks
+    # hold for whatever windows the sampler draws.
+    cfg = load_config(preset)
+    sampler, alpha, n = cfg.window_sampler(), cfg.alpha, 4096
+    tol = 4 * np.finfo(float).eps
+    for r in (1.0, 2.0, 4.0):
+        vals = limit_measure_samples(sampler, 1, (r,), n, np.random.default_rng(5))
+        np.testing.assert_allclose(vals, np.full(n, r**-alpha), rtol=tol, atol=0)
+    f11 = limit_measure_samples(sampler, 2, (1.0, 1.0), n, np.random.default_rng(6))
+    f22 = limit_measure_samples(sampler, 2, (2.0, 2.0), n, np.random.default_rng(6))
+    assert np.array_equal(f11 == 0, f22 == 0)
+    np.testing.assert_allclose(2.0**alpha * f22, f11, rtol=tol, atol=0)
+
+
 def test_run_suite_all_on_iid():
     cfg = load_config("iid", FAST)
     checks = run_suite(cfg, "all", workers=1)
@@ -198,6 +216,23 @@ def test_mc_values_chunk_sizes():
         np.testing.assert_array_equal(verify._mc_values(task, n, 3, 7, 1), values)
     # the ragged last chunk draws from its own stream [seed, tag, chunk index]
     assert values[c] == np.random.default_rng([7, 1, 1]).standard_normal(1)[0]
+
+
+@pytest.mark.parametrize("cols", [None, 1, 4])
+def test_mc_values_fills_the_bytes_of_the_concatenation(cols, monkeypatch):
+    # 3500 rows in chunks of 1000: three full chunks and a ragged one of 500
+    monkeypatch.setattr(verify, "_MC_CHUNK", 1000)
+    shape = () if cols is None else (cols,)
+
+    def task(k, rng):
+        return rng.standard_normal((k, *shape))
+
+    n, sizes = 3500, [1000, 1000, 1000, 500]
+    want = np.concatenate([task(k, np.random.default_rng([7, 3, i])) for i, k in enumerate(sizes)])
+    for workers in (1, 3):
+        got = verify._mc_values(task, n, workers, 7, 3)
+        assert got.shape == want.shape == (n, *shape) and got.dtype == np.float64
+        assert _bits(got) == _bits(want), workers
 
 
 def test_acceptance_rate_diagnostics():
