@@ -9,6 +9,7 @@ an explicit --seed flag overrides both.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -263,7 +264,22 @@ def build_parser():
     return parser
 
 
+def _retain_freed_memory():
+    """Keep freed blocks in glibc's heap (fixed 64 MB mmap threshold, no trimming)
+    so the large temporaries a command allocates again and again reuse their
+    pages instead of faulting fresh ones in: without it, `spectral` on seqspace
+    faults in three times the pages and runs about a quarter longer.  No-op
+    without glibc."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):  # not glibc
+        return
+    mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, -1)  # M_TRIM_THRESHOLD: never trim
+
+
 def main(argv=None):
+    _retain_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
