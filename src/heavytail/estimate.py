@@ -11,6 +11,8 @@ into block-bootstrap standard errors.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -38,11 +40,44 @@ _BOOT_SEED = 0xE57
 _N_BOOT = 200
 # Time steps per bootstrap block of the empirical tail dependence.
 _TD_BLOCK_LEN = 100
+# Stacked rows per batch of bootstrap replicates (see _block_bootstrap_se).
+# On 1000-row replicates, batches of 2^14 rows ran no faster and raised the
+# peak memory of `verify --suite all` on ar1_scalar by 1.5 MB against 0.4 MB.
+_BOOT_BATCH_ROWS = 1 << 12
 # Values per big_jump_paired chunk, the unit of its draws: a chunk of rows x
 # lags terms holds about six (terms, dim) image arrays and twenty arrays of
 # one value per term, so it takes _BIG_JUMP_VALUES // max(dim, 4) terms and
 # its arrays stay near 1 MB (256 KB per array of scalars).
 _BIG_JUMP_VALUES = 1 << 17
+
+
+# (workers, executor) of the enclosing _shared_worker_pool block, if any.
+_SHARED_POOL = contextvars.ContextVar("heavytail_shared_pool", default=None)
+
+
+@contextlib.contextmanager
+def _shared_worker_pool(workers):
+    """Serve every ``_worker_pool(workers)`` inside the block from one pool of
+    ``workers`` threads, shut down (its threads joined) when the block ends."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        token = _SHARED_POOL.set((workers, pool))
+        try:
+            yield
+        finally:
+            _SHARED_POOL.reset(token)
+
+
+@contextlib.contextmanager
+def _worker_pool(workers):
+    """An executor of ``workers`` threads: the shared one of the enclosing
+    ``_shared_worker_pool`` block if it has that size, else a new one that is
+    shut down on exit."""
+    shared = _SHARED_POOL.get()
+    if shared is not None and shared[0] == workers:
+        yield shared[1]
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool
 
 
 class EstimationError(RuntimeError):
@@ -78,7 +113,7 @@ def collect_exceedances(path, u, back, fwd):
     edges for a full window are dropped.  Overlapping windows are kept.
     """
     norms = path.norms()
-    if u <= np.median(norms):
+    if _at_most_median(u, norms):
         raise DomainError("threshold must exceed the path median")
     anchors = np.flatnonzero(norms > u)
     anchors = anchors[(anchors >= back) & (anchors <= len(path) - 1 - fwd)]
@@ -89,19 +124,51 @@ def collect_exceedances(path, u, back, fwd):
     return ExceedanceSet(wb, anchors)
 
 
+def _at_most_median(u, x):
+    """``u <= np.median(x)`` for finite ``x``, by counting instead of partitioning.
+
+    With a = #(x >= u) and n = len(x), the median is at least u iff 2a > n,
+    unless 2a == n > 0: then it is the mean of max(x < u) and min(x >= u),
+    formed as ``np.median`` forms it.  (An empty x has a nan median.)
+    """
+    above = x >= u
+    twice = 2 * int(np.count_nonzero(above))
+    if twice != len(x) or twice == 0:
+        return twice > len(x)
+    lo = np.max(x, where=~above, initial=-np.inf)
+    hi = np.min(x, where=above, initial=np.inf)
+    return bool(u <= (lo + hi) / 2)
+
+
 def _block_bootstrap_se(anchor_times, per_anchor, block_len, n_boot, rng, stat):
     """SE of ``stat`` (a function of stacked per-anchor rows) by resampling
-    disjoint time blocks of anchors."""
+    disjoint time blocks of anchors.
+
+    The rows are sorted by block (stably, so a block keeps its rows' order).
+    Each replicate draws ``nb`` block picks, and ``stat`` sees the picked
+    blocks' rows stacked in pick order.  Replicates go in batches of about
+    ``_BOOT_BATCH_ROWS`` stacked rows: one (k, nb) draw, which equals k
+    successive nb-draws, and one gather for the whole batch.
+    """
     ids = anchor_times // block_len
-    blocks = [per_anchor[ids == b] for b in np.unique(ids)]
-    if len(blocks) < 2:
+    order = np.argsort(ids, kind="stable")
+    rows = per_anchor[order]
+    _, starts, counts = np.unique(ids[order], return_index=True, return_counts=True)
+    nb = len(starts)
+    if nb < 2:
         return float("nan")
     reps = np.empty(n_boot)
-    nb = len(blocks)
-    for r in range(n_boot):
-        pick = rng.integers(0, nb, size=nb)
-        stacked = np.concatenate([blocks[i] for i in pick], axis=0)
-        reps[r] = stat(stacked)
+    batch = max(1, _BOOT_BATCH_ROWS // len(rows))
+    for first in range(0, n_boot, batch):
+        pick = rng.integers(0, nb, size=(min(batch, n_boot - first), nb))
+        lens = counts[pick.ravel()]
+        ends = np.cumsum(lens)
+        index = np.arange(ends[-1]) + np.repeat(starts[pick.ravel()] - (ends - lens), lens)
+        stacked = rows[index]
+        lo = 0
+        for r, hi in enumerate(ends[nb - 1 :: nb], first):
+            reps[r] = stat(stacked[lo:hi])
+            lo = hi
     return float(np.std(reps, ddof=1))
 
 
@@ -308,7 +375,8 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
 
     The innovations come from ``rng`` on the calling thread, one
     ``innov.sample`` of rows x lags per chunk (``_BIG_JUMP_VALUES``), lag by
-    lag; each is split into its radius (its norm) and angle.  ``workers`` threads evaluate the chunks; each writes
+    lag; each is split into its radius (its norm) and angle.  ``workers`` threads evaluate the
+    chunks (inside ``verify.run_suite``, on the run's shared pool); each writes
     its sums and centred sums of squares to its own slot, and the slots are
     reduced in chunk order at the end, so the results do not depend on
     ``workers``, and memory stays O(chunk) at any ``n_mc``.
@@ -333,7 +401,7 @@ def big_jump_paired(fam, innov, xs, n_mc, rng, workers=1):
         sums[k] = values.sum(axis=1)
         squares[k] = ((values - (sums[k] / sizes[k])[:, None]) ** 2).sum(axis=1)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _worker_pool(workers) as pool:
         pending = deque()
         for k, m in enumerate(sizes):
             with np.errstate(over="ignore", invalid="ignore"):

@@ -52,6 +52,10 @@ _INNOV_STREAM = 0x1A
 # Steps per block of the blocked matrix AR(1) recursion.
 _AR1_BLOCK = 1024
 
+# Steps per steps-major tile of that recursion's zero-start pass.  Two
+# (tile, blocks, d) buffers take 1.5 MB on a 3-dim path of 1e6 rows.
+_AR1_TILE = 32
+
 # Rows formatted per NumPy pass by write_csv_rows.  A pass's byte buffer
 # (one row per output byte position) then stays within a 2 MB L2 cache for
 # rows of up to about 250 bytes; 16384-row passes made the 165-byte rows of
@@ -104,9 +108,18 @@ class Path:
 
 
 def _innovation_block(innov, count, seed):
-    """Innovations for ``count`` consecutive time indices, one fixed stream."""
+    """Innovations for ``count`` consecutive time indices, one fixed stream.
+
+    A radius that overflows float64 (alpha too small) raises DomainError.
+    """
     rng = np.random.default_rng([int(seed), _INNOV_STREAM])
-    return innov.sample(count, rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf radius, or inf * 0
+        z = innov.sample(count, rng)
+    if not np.isfinite(z).all():
+        raise DomainError(
+            f"simulated path is not finite: at alpha={innov.alpha:g} the Pareto radius "
+            "(1-U)**(-1/alpha) overflows float64")
+    return z
 
 
 def simulate_linear(fam, innov, cfg):
@@ -146,7 +159,10 @@ def _ar1_recursion(T, innovations):
 
     Every operator, scalar and diagonal ones included, works on
     M = T.as_matrix() in blocks of ``_AR1_BLOCK`` steps: first the zero-start
-    recursion runs in all blocks at once (one vectorised step per offset k),
+    recursion runs in all blocks at once (one vectorised step per offset k,
+    on steps-major tiles of ``_AR1_TILE`` offsets copied out of and back into
+    the (blocks, steps, d) layout, so that each step works on a contiguous
+    (blocks, d) slab; the products and sums are those of the strided steps),
     then each block's last state s is carried into the next block as
     T^(k+1) s via the stacked powers T^1..T^B.  A ragged tail is one short
     block.  The result equals the per-step loop up to rounding (within 1e-13
@@ -165,10 +181,20 @@ def _ar1_recursion(T, innovations):
     if n > full:
         parts.append((innovations[full:][None], out[full:][None]))
     for zb, yb in parts:
-        yb[:, 0] = zb[:, 0]
-        for k in range(1, yb.shape[1]):
-            np.matmul(yb[:, k - 1], m.T, out=yb[:, k])
-            yb[:, k] += zb[:, k]
+        steps = yb.shape[1]
+        # (tile steps, blocks, d) buffers: every step reads and writes one
+        # contiguous slab; only the last tile of a part can be short.
+        y = np.empty((min(steps, _AR1_TILE), len(yb), d))
+        z = np.empty_like(y)
+        for lo in range(0, steps, len(y)):
+            t = min(len(y), steps - lo)
+            z[:t] = zb[:, lo : lo + t].swapaxes(0, 1)
+            if lo == 0:
+                y[0] = z[0]
+            for k in range(lo == 0, t):  # y[k - 1] is y[-1] at k = 0: the last full tile's end
+                np.matmul(y[k - 1], m.T, out=y[k])
+                y[k] += z[k]
+            yb[:, lo : lo + t] = y[:t].swapaxes(0, 1)
     # Rows k*d .. k*d+d-1 hold T^(k+1), so one matvec carries a state.
     powers = np.empty((min(n, _AR1_BLOCK), d, d))
     power = np.eye(d)

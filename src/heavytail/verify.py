@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 import platform
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .estimate import (
+    _shared_worker_pool,
+    _worker_pool,
     big_jump_paired,
     blocks_extremal_index,
     collect_exceedances,
@@ -103,7 +104,7 @@ def _mc_values(task, n, workers, seed, tag):
         return np.asarray(task(min(_MC_CHUNK, n - starts[i]), rng), dtype=float)
 
     out = None
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with _worker_pool(workers) as pool:
         for start, block in zip(starts, pool.map(run, range(len(starts)))):
             if out is None:
                 out = np.empty((n,) + block.shape[1:])
@@ -422,13 +423,16 @@ SUITES = {
 def run_suite(cfg, suite, workers=1):
     """Checks of one suite, or of every suite in ``SUITES`` order for "all".
 
-    Every size comes from the config; ``workers`` only schedules.
+    Every size comes from the config; ``workers`` only schedules.  One pool
+    of ``workers`` threads serves the whole call (every ``_mc_values`` pass
+    and ``big_jump_paired``), and it is shut down before the call returns,
+    so no thread outlives it.
     """
-    if suite == "all":
-        return [c for name in SUITES for c in SUITES[name](cfg, workers=workers)]
-    if suite not in SUITES:
+    if suite != "all" and suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    return SUITES[suite](cfg, workers=workers)
+    names = list(SUITES) if suite == "all" else [suite]
+    with _shared_worker_pool(workers):
+        return [c for name in names for c in SUITES[name](cfg, workers=workers)]
 
 
 def build_report(checks, cfg, suite):

@@ -419,6 +419,33 @@ def test_cli_simulate_overflow_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", "{iid}", "--length", "2000", "--out", "{out}"],
+    ["simulate", "--config", "{dense}", "--length", "2000", "--out", "{out}"],
+    ["verify", "--config", "{ar1}", "--suite", "empirical-vs-closed", "--workers", "1",
+     "--report", "{out}"],
+], ids=["simulate-iid", "simulate-dense-ar1", "verify-empirical-ar1"])
+def test_cli_small_alpha_paths_exit_2_without_warnings(tmp_path, command):
+    configs = {}
+    for key, source in (("iid", "iid"), ("ar1", "ar1_scalar"),
+                        ("dense", str(pathlib.Path(__file__).resolve().parents[1] / "bench"
+                                     / "configs" / "dense_ar1.json"))):
+        data = json.loads(load_config(source).canonical_json())
+        data["alpha"] = 1e-3
+        configs[key] = tmp_path / f"{key}.json"
+        configs[key].write_text(json.dumps(data))
+    out = tmp_path / "out"
+    argv = [a.format(out=out, **configs) for a in command]
+    src = str(pathlib.Path(heavytail.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "heavytail.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: simulated path is not finite: at alpha=0.001 the Pareto "
+                           "radius (1-U)**(-1/alpha) overflows float64\n")
+    assert not out.exists()
+
+
 def test_cli_summarize_examples(tmp_path):
     out = tmp_path / "s.json"
     assert main(["summarize", "--config", "ma2", "--stat", "ma-specials",
@@ -635,8 +662,9 @@ def test_cli_empirical_single_lag_family(tmp_path, op, dim):
 
 
 def test_cli_estimation_error_is_exit_1(tmp_path, capsys):
+    # every radius rounds to the scale, so no path norm exceeds its 0.999 quantile
     data = json.loads(load_config("iid").canonical_json())
-    data["alpha"] = 1e-3
+    data["alpha"] = 1e18
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     code = main(["verify", "--config", str(cfg), "--suite", "empirical-vs-closed",

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heavytail import estimate
+from heavytail.config import load_config
 from heavytail.estimate import (
     BigJumpResult,
     EstimationError,
@@ -167,6 +169,95 @@ def test_blocks_validates_block_length():
     path.meta["family_extent"] = 40
     with pytest.raises(DomainError):
         blocks_extremal_index(path, u, 50)
+
+
+# ---------------------------------------------------------------------------
+# block bootstrap and the median guard, against the code they replaced
+
+
+def _bootstrap_reference(anchor_times, per_anchor, block_len, n_boot, rng, stat):
+    """One mask per block, and one concatenation of picked blocks per replicate."""
+    ids = anchor_times // block_len
+    blocks = [per_anchor[ids == b] for b in np.unique(ids)]
+    if len(blocks) < 2:
+        return float("nan")
+    reps = np.empty(n_boot)
+    nb = len(blocks)
+    for r in range(n_boot):
+        pick = rng.integers(0, nb, size=nb)
+        stacked = np.concatenate([blocks[i] for i in pick], axis=0)
+        reps[r] = stat(stacked)
+    return float(np.std(reps, ddof=1))
+
+
+@pytest.fixture(scope="module")
+def bootstrap_inputs():
+    """Per preset: (times, rows, block_len, stat) of the empirical tail
+    dependence (a sum ratio) and of the conditional spectral statistic (a mean)."""
+    inputs = {}
+    for preset in ("ar1_scalar", "ma2"):
+        cfg = load_config(preset)
+        path = cfg.simulate()
+        u = float(np.quantile(path.norms(), 0.999))
+        score = path.values[:, 0]
+        marg = score[:-1] > u
+        joint = marg & (score[1:] > u)
+        td_rows = np.column_stack([joint[marg], np.ones(int(marg.sum()))])
+        exc = collect_exceedances(path, u, 0, 1)
+        values = np.minimum(exc.windows.norm_at(1) ** cfg.alpha, 1.0)
+        inputs[preset, "sum_ratio"] = (np.flatnonzero(marg), td_rows, 100,
+                                       lambda v: v[:, 0].sum() / v[:, 1].sum())
+        inputs[preset, "mean"] = (exc.anchors, values, 4, lambda v: v.mean())
+    return inputs
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("preset", ["ar1_scalar", "ma2"])
+@pytest.mark.parametrize("stat", ["sum_ratio", "mean"])
+def test_block_bootstrap_equals_the_replicate_loop(bootstrap_inputs, preset, stat):
+    times, rows, block_len, f = bootstrap_inputs[preset, stat]
+    batch = estimate._BOOT_BATCH_ROWS // len(rows)
+    assert batch > 2  # so the n_boot below give whole, ragged and partial batches
+    shuffled = np.random.default_rng(5).permutation(len(rows))
+    one_block = np.full(len(rows), 7 * block_len)
+    two_blocks = np.where(np.arange(len(rows)) % 3, block_len, 0)
+    for t, r in ((times, rows), (times[shuffled], rows[shuffled]),
+                 (one_block, rows), (two_blocks, rows), (times[:40], rows[:40])):
+        for n_boot in (200, 3 * batch + 1, 2):
+            got = estimate._block_bootstrap_se(t, r, block_len, n_boot,
+                                               np.random.default_rng(n_boot), f)
+            want = _bootstrap_reference(t, r, block_len, n_boot,
+                                        np.random.default_rng(n_boot), f)
+            assert _same(got, want), (got, want)
+    assert np.isnan(estimate._block_bootstrap_se(one_block, rows, block_len, 200,
+                                                 np.random.default_rng(0), f))
+
+
+@pytest.mark.parametrize("nb", [2, 1233, 1234, 20000])
+def test_batched_block_picks_equal_successive_draws(nb):
+    batched = np.random.default_rng(nb).integers(0, nb, size=(5, nb))
+    rng = np.random.default_rng(nb)
+    assert np.array_equal(batched, [rng.integers(0, nb, size=nb) for _ in range(5)])
+
+
+def test_counted_median_guard_equals_the_median_comparison():
+    rng = np.random.default_rng(31)
+    samples = [np.array([1.0]), np.array([1.0, 1.0]), np.array([1.0, 1.0, 2.0, 2.0]),
+               np.array([1.0, 2.0, 2.0, 3.0]), np.array([1.0, 2.0, 2.0, 2.0, 3.0, 3.0]),
+               np.array([1.0, np.nextafter(1.0, 2.0)]), np.array([0.1, 0.7, 0.3, 0.2])]
+    for n in (3, 8, 9, 1000, 1001):
+        samples += [rng.pareto(1.0, n), np.round(rng.pareto(1.0, n), 1)]  # ties in the second
+    for x in samples:
+        s = np.sort(x)
+        lo, hi = s[(len(x) - 1) // 2], s[len(x) // 2]
+        mid = (lo + hi) / 2
+        us = [s[0] - 1, lo, hi, mid, s[-1] + 1, *s[:: max(1, len(x) // 7)]]
+        us += [np.nextafter(v, w) for v in (lo, hi, mid) for w in (-np.inf, np.inf)]
+        for u in us:
+            assert estimate._at_most_median(u, x) == (u <= np.median(x)), (x, u)
 
 
 # ---------------------------------------------------------------------------

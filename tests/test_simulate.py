@@ -13,6 +13,7 @@ from heavytail.config import load_config
 from heavytail.rv import Atomic, Rademacher, RegVarDist, SphereUniform
 from heavytail.simulate import (
     _AR1_BLOCK,
+    _AR1_TILE,
     Path,
     PathConfig,
     _ar1_recursion,
@@ -239,20 +240,64 @@ def test_contraction_certificate_refuses_non_contracting():
 
 
 AR1_LENGTHS = [1, _AR1_BLOCK - 1, _AR1_BLOCK, _AR1_BLOCK + 1, 3 * _AR1_BLOCK + 17]
-
-
-@pytest.mark.parametrize("length", AR1_LENGTHS)
-@pytest.mark.parametrize(
+AR1_OPERATORS = pytest.mark.parametrize(
     "T",
     [DenseOp(BENCH_MATRIX), DenseOp(NON_NORMAL), ScalarOp(0.5, 1), ScalarOp(-0.9, 1),
      DenseOp(np.diag([0.5, -0.3, 0.9]))],
     ids=["bench3", "nonnormal2", "scalar0.5", "scalar-0.9", "diag3"],
 )
+
+
+@pytest.mark.parametrize("length", AR1_LENGTHS)
+@AR1_OPERATORS
 def test_ar1_blocked_recursion_matches_per_step_loop(T, length):
     innov = RegVarDist(1.5, 1.0, SphereUniform(max_norm(T.in_dim)))
     z = _innovation_block(innov, length, 20 + length)
     ref = _ar1_reference(T, z)
     assert _max_row_rel_err(_ar1_recursion(T, z), ref) <= 1e-12
+
+
+def _ar1_blocked_reference(T, innovations):
+    """The blocked recursion with its zero-start pass on (blocks, steps, d)
+    views, one strided (blocks, d) step at a time, as before the tiles."""
+    n, d = innovations.shape
+    out = np.empty((n, d))
+    m = T.as_matrix()
+    full = n - n % _AR1_BLOCK
+    parts = []
+    if full:
+        parts.append((innovations[:full].reshape(-1, _AR1_BLOCK, d),
+                      out[:full].reshape(-1, _AR1_BLOCK, d)))
+    if n > full:
+        parts.append((innovations[full:][None], out[full:][None]))
+    for zb, yb in parts:
+        yb[:, 0] = zb[:, 0]
+        for k in range(1, yb.shape[1]):
+            np.matmul(yb[:, k - 1], m.T, out=yb[:, k])
+            yb[:, k] += zb[:, k]
+    powers = np.empty((min(n, _AR1_BLOCK), d, d))
+    power = np.eye(d)
+    for k in range(len(powers)):
+        power = powers[k] = m @ power
+    powers = powers.reshape(-1, d)
+    state = None
+    for _, yb in parts:
+        steps = yb.shape[1]
+        for block in yb:
+            if state is not None:
+                block += (powers[: steps * d] @ state).reshape(steps, d)
+            state = block[-1]
+    return out
+
+
+@pytest.mark.parametrize(
+    "length",
+    AR1_LENGTHS + [_AR1_TILE - 1, _AR1_TILE, _AR1_TILE + 1, _AR1_BLOCK + _AR1_TILE])
+@AR1_OPERATORS
+def test_ar1_tiled_recursion_equals_the_strided_blocked_loop(T, length):
+    innov = RegVarDist(1.5, 1.0, SphereUniform(max_norm(T.in_dim)))
+    z = _innovation_block(innov, length, 40 + length)
+    assert np.array_equal(_ar1_recursion(T, z), _ar1_blocked_reference(T, z))
 
 
 def _chain_ar1_config(length):

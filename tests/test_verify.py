@@ -1,9 +1,10 @@
 import pathlib
+import threading
 
 import numpy as np
 import pytest
 
-from heavytail import verify
+from heavytail import estimate, verify
 from heavytail.config import list_presets, load_config
 from heavytail.estimate import empirical_tail_dependence, threshold_sweep
 from heavytail.spectral import limit_measure_samples, time_change_rhs_samples
@@ -187,6 +188,29 @@ def test_run_suite_all_on_iid():
     assert all(c.passed for c in checks)
     report = build_report(checks, cfg, "all")
     assert report["all_passed"] is True
+
+
+def test_run_suite_runs_on_one_pool_that_it_shuts_down(monkeypatch):
+    pools = []
+
+    class CountedPool(estimate.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "ThreadPoolExecutor", CountedPool)
+    cfg = load_config("ma2", FAST)
+    before = threading.active_count()
+    checks = {}
+    for workers in (1, 3):
+        checks[workers] = run_suite(cfg, "all", workers=workers)
+        assert threading.active_count() == before
+        assert len(pools) == 1
+        pools.clear()
+    assert checks[1] == checks[3]
+    # a suite called on its own still makes, and joins, its own pools
+    suite_big_jump(cfg, workers=2)
+    assert len(pools) == 1 and threading.active_count() == before
 
 
 def test_worker_count_is_deterministic(monkeypatch):
