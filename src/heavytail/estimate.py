@@ -160,10 +160,10 @@ def _block_bootstrap_se(anchor_times, per_anchor, block_len, n_boot, rng, stat):
     reps = np.empty(n_boot)
     batch = max(1, _BOOT_BATCH_ROWS // len(rows))
     for first in range(0, n_boot, batch):
-        pick = rng.integers(0, nb, size=(min(batch, n_boot - first), nb))
-        lens = counts[pick.ravel()]
+        pick = rng.integers(0, nb, size=(min(batch, n_boot - first), nb)).ravel()
+        lens = counts[pick]
         ends = np.cumsum(lens)
-        index = np.arange(ends[-1]) + np.repeat(starts[pick.ravel()] - (ends - lens), lens)
+        index = np.arange(ends[-1]) + np.repeat(starts[pick] - (ends - lens), lens)
         stacked = rows[index]
         lo = 0
         for r, hi in enumerate(ends[nb - 1 :: nb], first):
